@@ -16,7 +16,7 @@ import struct
 import numpy as np
 
 from .errors import CheckpointError
-from .model import BaseWeights, ModelConfig, RoleAdapters, Transformer
+from .model import BaseWeights, ModelConfig, RoleAdapters, Transformer, base_shapes
 from .tensor import Tensor
 
 MAGIC = b"RTCK"
@@ -103,18 +103,17 @@ def load_checkpoint(path):
     if offset != len(payload):
         raise CheckpointError(f"{path}: {len(payload) - offset} trailing bytes after arrays")
 
-    # rebuild the base over a template so any missing or misshaped weight is
-    # caught against the configuration, not trusted from the file
-    template = BaseWeights.create(config, seed=0)
+    # check every base weight against the configuration's shape table, so a
+    # missing or misshaped weight is caught, not trusted from the file
     params: dict[str, Tensor] = {}
-    for name, tensor in template.params.items():
+    for name, shape in base_shapes(config).items():
         key = f"base.{name}"
         if key not in arrays:
             raise CheckpointError(f"{path}: missing base weight {name!r}")
-        if arrays[key].shape != tensor.shape:
+        if arrays[key].shape != shape:
             raise CheckpointError(
                 f"{path}: base weight {name!r} has shape {arrays[key].shape}, "
-                f"expected {tensor.shape}"
+                f"expected {shape}"
             )
         params[name] = Tensor(arrays[key])
     model = Transformer(config, BaseWeights(config, params))

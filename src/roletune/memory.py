@@ -5,9 +5,9 @@ A `RoundMemory` stores, per transformer layer, every previously computed
 are real tokens versus padding and how many real tokens each sequence has
 produced so far. Appends are functional: they return a new memory and never
 touch the stored arrays, which are kept read-only. Cached arrays are plain
-numpy data, so no gradient flows back through them; a trainer that wants a
-segment's slots differentiable passes that segment's live K/V to
-`Transformer.forward_segment` alongside the memory.
+numpy data, so no gradient flows back through them. The memory serves
+decoding; training runs each batch of dialogues as one packed pass and
+states the round-level regime as a mask (see `training.midi_losses`).
 
 Position ids continue across rounds over valid tokens only (0,1,2,... per
 sequence, no gaps), and attention masks grant visibility only to valid slots.
@@ -84,7 +84,7 @@ class RoundMemory:
 
         segment_kv: per-layer (K, V) arrays or tensors (batch, heads, seg,
         head_dim) — tensors are detached here, so the stored slots carry no
-        gradient (callers keep the live tensors for slots that must);
+        gradient;
         segment_validity: (batch, seg) 0/1; tag: which segment kind produced
         these slots (one of SLOT_TAGS).
         """
@@ -125,36 +125,25 @@ class RoundMemory:
         offsets = np.cumsum(validity, axis=1) - 1
         return np.where(validity, self.counts[:, None] + offsets, 0).astype(np.int64)
 
-    def build_mask(self, segment_validity, include_current: bool = True,
-                   exclude_tags: tuple[str, ...] = ()) -> np.ndarray:
+    def build_mask(self, segment_validity) -> np.ndarray:
         """Additive attention mask (batch, seg, stored+seg) for a new segment.
 
-        A valid query slot sees every valid cached slot (minus any excluded
-        tag kinds) plus, when include_current is set, the valid current-segment
-        slots at or before it. Every query additionally sees its own slot, so
-        no row is ever fully masked; padding queries see only themselves and
-        their outputs are never consumed downstream. Visible = 0, blocked = a
-        large negative number that underflows to exactly zero weight.
+        A valid query slot sees every valid cached slot plus the valid
+        current-segment slots at or before it. Every query additionally sees
+        its own slot, so no row is ever fully masked; padding queries see
+        only themselves and their outputs are never consumed downstream.
+        Visible = 0, blocked = a large negative number that underflows to
+        exactly zero weight.
         """
-        for tag in exclude_tags:
-            if tag not in SLOT_TAGS:
-                raise ShapeError(f"unknown slot tag {tag!r}; expected one of {SLOT_TAGS}")
         validity = np.asarray(segment_validity).astype(bool)
         if validity.ndim != 2 or validity.shape[0] != self.batch:
             raise ShapeError(f"segment validity {validity.shape} vs batch {self.batch}")
         b, s = validity.shape
         q_valid = validity[:, :, None]
-
-        tag_ok = np.ones(self.stored, dtype=bool)
-        for tag in exclude_tags:
-            tag_ok &= self.tags != SLOT_TAGS.index(tag)
-        cached_vis = q_valid & (self.validity & tag_ok)[:, None, :]  # (b, s, stored)
+        cached_vis = q_valid & self.validity[:, None, :]  # (b, s, stored)
 
         causal = np.tri(s, dtype=bool)[None, :, :]
-        current_vis = q_valid & validity[:, None, :] & causal
-        if not include_current:
-            current_vis = np.zeros_like(current_vis)
-        current_vis = current_vis | np.eye(s, dtype=bool)[None, :, :]
+        current_vis = (q_valid & validity[:, None, :] & causal) | np.eye(s, dtype=bool)[None, :, :]
 
         visible = np.concatenate([cached_vis, current_vis], axis=2)
         return np.where(visible, 0.0, MASK_NEG).astype(np.float32)

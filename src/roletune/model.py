@@ -5,9 +5,13 @@ low-rank deltas ("agent" and "user") applied to attention projections. The
 block structure is pre-RMS-norm attention + SiLU feed-forward with rotary
 position embeddings and an LM head tied to the token embedding.
 
-`forward_segment` processes one utterance segment against an optional store of
-previously cached key/value slots; it returns the segment's logits plus its
-freshly computed K/V so the caller can extend the cache.
+`forward_segment` runs one grid of tokens, optionally against a store of
+previously cached key/value slots, and returns the logits plus the grid's
+freshly computed K/V so a decoder can extend its cache. Each token runs under
+one role's deltas: the whole grid under one role, or a per-token role grid,
+which is how training runs a whole dialogue in one pass. Which cached or
+earlier slots a token reads is the caller's mask; which of those reads carry
+key/value gradient is the caller's live grid.
 """
 
 from __future__ import annotations
@@ -86,6 +90,22 @@ class ModelConfig:
         return cls(**d)
 
 
+def base_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every frozen base weight, in storage order."""
+    d, ff = config.d_model, config.d_ff
+    shapes: dict[str, tuple[int, ...]] = {"embed": (config.vocab_size, d)}
+    for i in range(config.n_layers):
+        p = f"layer{i}."
+        for name in ("wq", "wk", "wv", "wo"):
+            shapes[p + name] = (d, d)
+        shapes[p + "w1"] = (ff, d)
+        shapes[p + "w2"] = (d, ff)
+        shapes[p + "norm_attn"] = (d,)
+        shapes[p + "norm_ffn"] = (d,)
+    shapes["norm_out"] = (d,)
+    return shapes
+
+
 class BaseWeights:
     """Frozen backbone parameters, addressable by name.
 
@@ -100,24 +120,13 @@ class BaseWeights:
     @classmethod
     def create(cls, config: ModelConfig, seed: int) -> "BaseWeights":
         rng = labeled_rng(seed, "base-init")
-        d, ff = config.d_model, config.d_ff
-
-        def mat(shape, std):
-            return Tensor(rng.normal(0.0, std, size=shape).astype(np.float32))
-
-        params: dict[str, Tensor] = {
-            "embed": mat((config.vocab_size, d), config.embed_init_std)
-        }
-        proj_std = 1.0 / math.sqrt(d)
-        for i in range(config.n_layers):
-            p = f"layer{i}."
-            for name in ("wq", "wk", "wv", "wo"):
-                params[p + name] = mat((d, d), proj_std)
-            params[p + "w1"] = mat((ff, d), proj_std)
-            params[p + "w2"] = mat((d, ff), 1.0 / math.sqrt(ff))
-            params[p + "norm_attn"] = Tensor(np.ones(d, dtype=np.float32))
-            params[p + "norm_ffn"] = Tensor(np.ones(d, dtype=np.float32))
-        params["norm_out"] = Tensor(np.ones(d, dtype=np.float32))
+        params: dict[str, Tensor] = {}
+        for name, shape in base_shapes(config).items():
+            if len(shape) == 1:  # norm scales
+                params[name] = Tensor(np.ones(shape, dtype=np.float32))
+                continue
+            std = config.embed_init_std if name == "embed" else 1.0 / math.sqrt(shape[1])
+            params[name] = Tensor(rng.normal(0.0, std, size=shape).astype(np.float32))
         return cls(config, params)
 
     def named_arrays(self) -> dict[str, np.ndarray]:
@@ -218,14 +227,22 @@ def linear(x: Tensor, weight: Tensor) -> Tensor:
     return rt.reshape(out, lead + (weight.shape[0],))
 
 
-def lora_linear(x: Tensor, base_w: Tensor, delta: LoraDelta | None) -> Tensor:
-    """Base projection plus, when a delta is present, its scaled low-rank update."""
+def lora_linear(x: Tensor, base_w: Tensor, *deltas: LoraDelta | None,
+                gates: list[np.ndarray] | None = None) -> Tensor:
+    """Base projection plus the scaled low-rank update of each delta present.
+
+    gates: optional 0/1 arrays shaped like the output, one per delta; each
+    update then applies only on the rows where its gate is 1.
+    """
     y = linear(x, base_w)
-    if delta is None:
-        return y
-    low = linear(x, delta.A)          # (..., r)
-    up = linear(low, delta.B)         # (..., out)
-    return y + up * delta.scaling
+    for i, delta in enumerate(deltas):
+        if delta is None:
+            continue
+        low = linear(x, delta.A)          # (..., r)
+        up = linear(low, delta.B)         # (..., out)
+        scaling = delta.scaling if gates is None else Tensor(gates[i] * delta.scaling)
+        y = y + up * scaling
+    return y
 
 
 def rope_apply(x: Tensor, positions: np.ndarray, base: float) -> Tensor:
@@ -238,14 +255,6 @@ def rope_apply(x: Tensor, positions: np.ndarray, base: float) -> Tensor:
             f"positions shape {positions.shape} does not match batch/slots {(x.shape[0], x.shape[2])}"
         )
     return rt.rope_rotate(x, positions, base)
-
-
-def _frozen_tail(cached: np.ndarray, start: int) -> list[Tensor]:
-    """The cached slots from `start` on as a frozen tensor, or nothing when
-    none are left. The view is not copied: only concat reads it."""
-    if start >= cached.shape[2]:
-        return []
-    return [rt.frozen_view(cached[:, :, start:])]
 
 
 class Transformer:
@@ -267,36 +276,42 @@ class Transformer:
         c = self.config
         return rt.reshape(rt.swapaxes(x, 1, 2), (batch, seq, c.d_model))
 
-    def forward_segment(self, tokens: np.ndarray, positions: np.ndarray, role: str,
+    def forward_segment(self, tokens: np.ndarray, positions: np.ndarray,
+                        role: str | np.ndarray,
                         adapters: RoleAdapters | None = None,
                         cache: list[tuple[np.ndarray, np.ndarray]] | None = None,
                         mask: np.ndarray | None = None,
-                        live: list[list[tuple[Tensor, Tensor]]] | None = None):
-        """Run one segment through all layers under `role`'s deltas.
+                        live: np.ndarray | None = None):
+        """Run one grid of tokens through all layers.
 
-        tokens, positions: (batch, seg) integer grids. cache: per-layer
-        (K, V) arrays of shape (batch, heads, stored, head_dim), already
-        rotated; mask: additive attention mask (batch, seg, stored+seg) with
-        0 for visible and a large negative value for blocked slots. With no
-        cache and no mask a causal mask over the segment is used.
+        tokens, positions: (batch, seg) integer grids. role: "user" or
+        "agent" runs every token under that role's deltas; a (batch, seg)
+        boolean grid routes each token, True to the agent deltas and False
+        to the user deltas. cache: per-layer (K, V) arrays of shape (batch,
+        heads, stored, head_dim), already rotated; they are plain data and
+        never receive gradient. mask: additive attention mask (batch, seg,
+        stored+seg) with 0 for visible and a large negative value for
+        blocked slots. With no cache and no mask a causal mask over the
+        segment is used.
 
-        live: optional per-layer lists of (K, V) tensors, the new_kv of
-        earlier segments in stored order. They stand in for the leading
-        cached slots, so gradients flow back through them; the cache supplies
-        only the slots after them. Each layer joins the live pieces, the rest
-        of the cache and the segment's own K/V in one concat.
+        live: optional (batch, seg, stored+seg) boolean grid of the (query,
+        key) pairs whose key/value gradient flows; on the other pairs the
+        keys and values act as detached. None keeps every pair live.
 
         Returns (logits Tensor (batch, seg, vocab), new_kv): a per-layer list
         of live (K, V) tensors (batch, heads, seg, head_dim); storing them in
         a round memory detaches them.
         """
         c = self.config
-        if role not in ROLES:
-            raise ConfigError(f"unknown role {role!r}; expected one of {ROLES}")
         tokens = np.asarray(tokens)
         positions = np.asarray(positions)
         if tokens.ndim != 2 or positions.shape != tokens.shape:
             raise ShapeError(f"tokens {tokens.shape} and positions {positions.shape} must be matching 2-D grids")
+        if isinstance(role, str):
+            if role not in ROLES:
+                raise ConfigError(f"unknown role {role!r}; expected one of {ROLES}")
+        elif np.shape(role) != tokens.shape:
+            raise ShapeError(f"role grid shape {np.shape(role)} vs tokens {tokens.shape}")
         if tokens.min() < 0 or tokens.max() >= c.vocab_size:
             raise IndexError(f"token id outside vocab of size {c.vocab_size}")
         if positions.max() >= c.max_positions:
@@ -309,34 +324,23 @@ class Transformer:
             if len(cache) != c.n_layers:
                 raise ShapeError(f"cache has {len(cache)} layers, model has {c.n_layers}")
             stored = cache[0][0].shape[2]
-        live = live or [[] for _ in range(c.n_layers)]
-        if len(live) != c.n_layers:
-            raise ShapeError(f"live slots have {len(live)} layers, model has {c.n_layers}")
-        n_live = sum(k.shape[2] for k, _ in live[0])
-        if n_live > stored:
-            raise ShapeError(f"{n_live} live slots exceed the {stored} cached slots")
         total = stored + seg
 
+        params = self.base.params
+        dtype = params["embed"].dtype
         if mask is None:
             if stored:
                 raise ShapeError("a mask is required when attending over cached slots")
-            mask = np.where(np.tri(seg, dtype=bool), 0.0, rt.MASK_NEG).astype(np.float32)
+            mask = np.where(np.tri(seg, dtype=bool), 0.0, rt.MASK_NEG)
             mask = np.broadcast_to(mask, (batch, seg, total))
-        else:
-            mask = np.asarray(mask)
-            if mask.shape != (batch, seg, total):
-                raise ShapeError(f"mask shape {mask.shape}, expected {(batch, seg, total)}")
-        if stored:
-            # per layer: the live tensors, then frozen views of the cached
-            # slots after them (zero-width pieces are left out)
-            cache = [([lk for lk, _ in pieces] + _frozen_tail(k, n_live),
-                      [lv for _, lv in pieces] + _frozen_tail(v, n_live))
-                     for (k, v), pieces in zip(cache, live)]
-        params = self.base.params
-        # one copy per head; suffix broadcasting does not cover (B, 1, S, T)
-        mask_t = Tensor(np.ascontiguousarray(
-            np.broadcast_to(mask[:, None, :, :], (batch, c.n_heads, seg, total))
-        ).astype(params["embed"].dtype))
+
+        roles, gates = [role], None
+        if not isinstance(role, str):  # per-token routing: one 0/1 row gate per role
+            is_agent = np.asarray(role, dtype=bool)
+            roles = ["agent", "user"]
+            gates = [np.broadcast_to(rows[..., None], (batch, seg, c.d_model)).astype(dtype)
+                     for rows in (is_agent, ~is_agent)]
+
         h = rt.embedding(params["embed"], tokens)
         new_kv: list[tuple[np.ndarray, np.ndarray]] = []
         scale = 1.0 / math.sqrt(c.head_dim)
@@ -345,26 +349,21 @@ class Transformer:
             p = f"layer{i}."
             x = rt.rms_norm(h, params[p + "norm_attn"], c.norm_epsilon)
 
-            def proj(name):
-                delta = adapters.delta(role, i, name) if adapters is not None else None
-                return lora_linear(x, params[p + "w" + name], delta)
+            def proj(name, x):
+                deltas = [adapters.delta(r, i, name) for r in roles] if adapters is not None else []
+                return lora_linear(x, params[p + "w" + name], *deltas, gates=gates)
 
-            q = rope_apply(self._split_heads(proj("q"), batch, seg), positions, c.rope_base)
-            k = rope_apply(self._split_heads(proj("k"), batch, seg), positions, c.rope_base)
-            v = self._split_heads(proj("v"), batch, seg)
+            q = rope_apply(self._split_heads(proj("q", x), batch, seg), positions, c.rope_base)
+            k = rope_apply(self._split_heads(proj("k", x), batch, seg), positions, c.rope_base)
+            v = self._split_heads(proj("v", x), batch, seg)
             new_kv.append((k, v))
 
             if stored:
-                k_all = rt.concat(cache[i][0] + [k], axis=2)
-                v_all = rt.concat(cache[i][1] + [v], axis=2)
-            else:
-                k_all, v_all = k, v
+                k = rt.concat([Tensor(cache[i][0]), k], axis=2)
+                v = rt.concat([Tensor(cache[i][1]), v], axis=2)
 
-            scores = (q @ rt.swapaxes(k_all, 2, 3)) * scale + mask_t
-            probs = rt.softmax(scores, axis=-1)
-            ctx = self._merge_heads(probs @ v_all, batch, seg)
-            delta_o = adapters.delta(role, i, "o") if adapters is not None else None
-            h = h + lora_linear(ctx, params[p + "wo"], delta_o)
+            ctx = rt.attention(q, k, v, mask, scale, live=live)
+            h = h + proj("o", self._merge_heads(ctx, batch, seg))
 
             x2 = rt.rms_norm(h, params[p + "norm_ffn"], c.norm_epsilon)
             h = h + linear(rt.silu(linear(x2, params[p + "w1"])), params[p + "w2"])

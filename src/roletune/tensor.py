@@ -210,12 +210,6 @@ def _raw(data) -> Tensor:
     return out
 
 
-def frozen_view(data: np.ndarray) -> Tensor:
-    """A frozen tensor over `data` as it is, strided views included: unlike
-    the constructor it never copies. For operands that ops only read."""
-    return _raw(data)
-
-
 # ---------------------------------------------------------------------------
 # elementwise ops (leading-axis repetition only)
 # ---------------------------------------------------------------------------
@@ -373,6 +367,47 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         return (y * (g - dot),)
 
     return _maybe_record((x,), out, backward)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, scale: float,
+              live: np.ndarray | None = None) -> Tensor:
+    """softmax(q @ k^T * scale + mask) @ v, one op for every head.
+
+    q: (B, H, S, Dh); k, v: (B, H, T, Dh); mask: additive (B, S, T), shared
+    by the heads. live: optional (B, S, T) booleans naming the (query, key)
+    pairs whose key and value gradients flow; on the other pairs k and v act
+    as if detached, while q gets its full gradient either way. None keeps
+    every pair live. Rejects non-finite scores, as softmax does.
+    """
+    _check_dtype(q, k, "attention")
+    _check_dtype(q, v, "attention")
+    b, h, s, dh = q.shape
+    pairs = (b, s, k.shape[2])
+    if (k.shape != (b, h, pairs[2], dh) or v.shape != k.shape or np.shape(mask) != pairs
+            or (live is not None and np.shape(live) != pairs)):
+        raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape}, mask "
+                         f"{np.shape(mask)} and live {np.shape(live)} do not conform")
+    if live is not None:
+        live = np.asarray(live, dtype=bool)[:, None]
+    scale = q.dtype.type(scale)
+    scores = (q.data @ k.data.swapaxes(-1, -2)) * scale + np.asarray(mask, dtype=q.dtype)[:, None]
+    if not np.isfinite(scores).all():
+        raise ValueError("attention: scores contain non-finite values")
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    out = _raw(probs @ v.data)
+
+    def backward(g):
+        dprobs = g @ v.data.swapaxes(-1, -2)
+        dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True)) * scale
+        gq = dscores @ k.data
+        if live is not None:
+            probs_kv, dscores_kv = probs * live, dscores * live
+        else:
+            probs_kv, dscores_kv = probs, dscores
+        return gq, dscores_kv.swapaxes(-1, -2) @ q.data, probs_kv.swapaxes(-1, -2) @ g
+
+    return _maybe_record((q, k, v), out, backward)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray | None = None):

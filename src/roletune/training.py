@@ -1,15 +1,17 @@
 """Round-by-round adapter training plus the two whole-sequence baselines.
 
-Three modes over the same frozen backbone:
+Three modes over the same frozen backbone, each one causal pass per batch:
 
-- "midi": per-round alternation. The instruction segment runs under the agent
-  deltas and builds the initial memory; each round then forwards the user
-  utterance under the user deltas (accumulating the user loss) and the agent
-  utterance under the agent deltas (accumulating the agent loss), appending
-  every segment's detached K/V to the memory. Agent segments read the
-  instruction K/V live, so the agent loss reaches the deltas that encoded
-  it; round slots stay detached. One step optimizes L = L_s + beta * L_u
-  over both delta sets.
+- "midi": the round-level regime. A batch of dialogues is packed into one
+  grid: the instruction runs under the agent deltas, each user utterance
+  under the user deltas (user loss) and each agent utterance under the agent
+  deltas (agent loss). What makes it round-level is data, not a loop: a
+  block mask says which earlier segments a token reads, and a live-pair grid
+  says which of those reads carry key/value gradient. A token reads its own
+  segment live; agent tokens also read the instruction live, so the agent
+  loss reaches the deltas that encoded it; every other read is detached, so
+  no gradient crosses a round boundary and L_u never reaches the agent
+  deltas. One step optimizes L = L_s + beta * L_u over both delta sets.
 - "concat": each dialogue as one causal sequence, loss on agent spans,
   agent deltas only.
 - "split": one (context, response) sample per round, loss on the response,
@@ -22,6 +24,7 @@ initializations exactly.
 
 from __future__ import annotations
 
+import copy
 import logging
 import math
 from dataclasses import dataclass, field, replace
@@ -38,10 +41,9 @@ from .data import (
     make_split_samples,
 )
 from .errors import ConfigError
-from .memory import RoundMemory
-from .model import ModelConfig, RoleAdapters, Transformer
+from .model import LoraDelta, ModelConfig, RoleAdapters, Transformer
 from .rng import labeled_rng
-from .tensor import Tape, Tensor
+from .tensor import MASK_NEG, Tape, Tensor
 
 logger = logging.getLogger(__name__)
 
@@ -62,9 +64,9 @@ class TrainConfig:
     rank: int = 8
     alpha: float = 16.0
     weight_decay: float = 0.0
-    strict_cross_round: bool = False        # segments attend cache + self only
-    user_sees_instruction: bool = True      # mask instruction slots for user turns if off
-    backprop_through_rounds: bool = False   # ablation: keep cached K/V differentiable
+    strict_cross_round: bool = False        # tokens see earlier segments + self only
+    user_sees_instruction: bool = True      # hide the instruction from user turns if off
+    backprop_through_rounds: bool = False   # ablation: every cross-segment read differentiable
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -155,72 +157,115 @@ def shifted_targets(tokens: np.ndarray, loss_mask: np.ndarray):
     return targets, mask
 
 
-def _mean_of_terms(terms: list[tuple[Tensor, int]], dtype) -> tuple[Tensor, int]:
-    """Token-weighted combination of per-segment mean losses -> global mean."""
-    total = sum(n for _, n in terms)
-    if total == 0:
-        return Tensor(np.zeros((), dtype=dtype)), 0
-    acc = None
-    for loss, n in terms:
-        if n == 0:
-            continue
-        piece = loss * float(n)
-        acc = piece if acc is None else acc + piece
-    return acc * (1.0 / total), total
+@dataclass
+class PackedBatch:
+    """Dialogues as one causal grid: each row's valid tokens first, in
+    order, padding after them, plus the segment each token came from.
+
+    Segment 0 is the instruction; user (odd) and agent (even) utterances
+    follow, round by round. A whole-sequence batch is one segment 0 per
+    row, run under the agent deltas.
+    """
+
+    tokens: np.ndarray      # (batch, width)
+    validity: np.ndarray
+    loss_mask: np.ndarray
+    segments: np.ndarray
+
+    @property
+    def positions(self) -> np.ndarray:
+        """Continuous over valid tokens, 0 at padding."""
+        return np.where(self.validity, np.cumsum(self.validity, axis=1) - 1, 0)
+
+    @property
+    def is_agent(self) -> np.ndarray:
+        return self.segments % 2 == 0
+
+    @property
+    def is_instruction(self) -> np.ndarray:
+        return self.segments == 0
+
+
+def pack_round_batch(batch: RoundBatch) -> PackedBatch:
+    """Concatenate the instruction and round segments of each dialogue and
+    move its valid tokens left with a stable sort."""
+    segs = [(batch.instruction, "instruction")] + [
+        (r[role], role) for r in batch.rounds for role in ("user", "agent")]
+    for seg, tag in segs:
+        if not seg.validity.any():
+            logger.warning("skipping %s segment with zero valid tokens in every dialogue", tag)
+    joined = {name: np.concatenate([getattr(seg, name) for seg, _ in segs], axis=1)
+              for name in ("tokens", "validity", "loss_mask")}
+    joined["segments"] = np.concatenate([np.full(seg.tokens.shape, i)
+                                         for i, (seg, _) in enumerate(segs)], axis=1)
+    order = np.argsort(~joined["validity"], axis=1, kind="stable")
+    width = int(joined["validity"].sum(axis=1).max())
+    packed = {k: np.take_along_axis(v, order, axis=1)[:, :width] for k, v in joined.items()}
+    return PackedBatch(**packed)
+
+
+def visibility_mask(packed: PackedBatch, strict_cross_round: bool = False,
+                    user_sees_instruction: bool = True) -> np.ndarray:
+    """Additive attention mask (batch, width, width) of a packed grid.
+
+    A valid token sees every valid token of an earlier segment and, unless
+    strict_cross_round, the valid tokens of its own segment up to itself;
+    with user_sees_instruction off, user tokens do not see the instruction.
+    Every token also sees itself, so padding tokens see only themselves.
+    """
+    seg_q = packed.segments[:, :, None]
+    seg_k = packed.segments[:, None, :]
+    visible = seg_k < seg_q
+    if not strict_cross_round:
+        visible |= (seg_k == seg_q) & np.tri(packed.segments.shape[1], dtype=bool)
+    if not user_sees_instruction:
+        visible &= ~(~packed.is_agent[:, :, None] & packed.is_instruction[:, None, :])
+    visible &= packed.validity[:, :, None] & packed.validity[:, None, :]
+    visible |= np.eye(packed.segments.shape[1], dtype=bool)
+    return np.where(visible, 0.0, MASK_NEG).astype(np.float32)
+
+
+def live_pairs(packed: PackedBatch) -> np.ndarray:
+    """The (query, key) pairs that carry key/value gradient in the
+    round-level regime: a token's own segment, plus the instruction for
+    agent tokens."""
+    same = packed.segments[:, :, None] == packed.segments[:, None, :]
+    return same | (packed.is_agent[:, :, None] & packed.is_instruction[:, None, :])
+
+
+def _without_gradient(adapters: RoleAdapters, role: str) -> RoleAdapters:
+    """A shallow copy of `adapters` whose `role` deltas are detached."""
+    out = copy.copy(adapters)
+    out.deltas = {**adapters.deltas, role: {
+        key: LoraDelta(d.A.detach(), d.B.detach(), d.alpha)
+        for key, d in adapters.deltas[role].items()}}
+    return out
 
 
 def midi_losses(model: Transformer, adapters: RoleAdapters, batch: RoundBatch,
                 cfg: TrainConfig):
-    """Forward a round batch through the memory; returns (L_s, L_u, n_s, n_u).
+    """One packed pass over a round batch; returns (L_s, L_u, n_s, n_u).
 
     L_s and L_u are live tensors (token means over agent and user targets).
-    Agent segments read the instruction K/V as the live tensors its forward
-    returned, so L_s trains the agent deltas to write the instruction in a
-    form later rounds can read. Every round slot, and the instruction as
-    user segments read it, comes from the memory detached: no gradient
-    crosses a round boundary and L_u never reaches the agent deltas.
-    cfg.backprop_through_rounds keeps every cached slot live for both roles.
+    Agent tokens read the instruction K/V live, so L_s trains the agent
+    deltas to write the instruction in a form later rounds can read. Every
+    other read of an earlier segment is detached: no gradient crosses a
+    round boundary and L_u never reaches the agent deltas. With beta 0 the
+    user deltas run detached, so they get no gradient entry at all.
+    cfg.backprop_through_rounds keeps every read live for both roles.
     """
-    c = model.config
-    dtype = model.base.params["embed"].dtype
-    mem = RoundMemory.empty(batch.batch, c.n_layers, c.n_heads, c.head_dim, dtype=dtype)
-    # per-layer live K/V of the leading stored segments, in stored order
-    live = [[] for _ in range(c.n_layers)]
-    include_current = not cfg.strict_cross_round
-    agent_terms: list[tuple[Tensor, int]] = []
-    user_terms: list[tuple[Tensor, int]] = []
-
-    def run_segment(seg, role, tag, scored):
-        nonlocal mem
-        if not seg.validity.any():
-            logger.warning("skipping %s segment with zero valid tokens in every dialogue", tag)
-            return
-        exclude = ()
-        if role == "user" and not cfg.user_sees_instruction:
-            exclude = ("instruction",)
-        mask = mem.build_mask(seg.validity, include_current=include_current,
-                              exclude_tags=exclude)
-        positions = mem.next_positions(seg.validity)
-        reads_live = role == "agent" or cfg.backprop_through_rounds
-        logits, kv = model.forward_segment(seg.tokens, positions, role, adapters,
-                                           cache=mem.layers, mask=mask,
-                                           live=live if reads_live else None)
-        if scored:
-            targets, tmask = shifted_targets(seg.tokens, seg.loss_mask)
-            loss, n = rt.cross_entropy(logits, targets, tmask)
-            (agent_terms if role == "agent" else user_terms).append((loss, n))
-        mem = mem.append(kv, seg.validity, tag)  # append detaches the live tensors
-        if tag == "instruction" or cfg.backprop_through_rounds:
-            for layer, pair in enumerate(kv):
-                live[layer].append(pair)
-
-    run_segment(batch.instruction, "agent", "instruction", scored=False)
-    for round_segs in batch.rounds:
-        run_segment(round_segs["user"], "user", "user", scored=True)
-        run_segment(round_segs["agent"], "agent", "agent", scored=True)
-
-    ls, n_s = _mean_of_terms(agent_terms, dtype)
-    lu, n_u = _mean_of_terms(user_terms, dtype)
+    packed = pack_round_batch(batch)
+    mask = visibility_mask(packed, cfg.strict_cross_round, cfg.user_sees_instruction)
+    live = None
+    if not cfg.backprop_through_rounds:
+        live = live_pairs(packed)
+        if cfg.beta == 0.0:
+            adapters = _without_gradient(adapters, "user")
+    logits, _ = model.forward_segment(packed.tokens, packed.positions, packed.is_agent,
+                                      adapters, mask=mask, live=live)
+    targets, tmask = shifted_targets(packed.tokens, packed.loss_mask)
+    ls, n_s = rt.cross_entropy(logits, targets, tmask & packed.is_agent)
+    lu, n_u = rt.cross_entropy(logits, targets, tmask & ~packed.is_agent)
     return ls, lu, n_s, n_u
 
 
@@ -236,15 +281,7 @@ def combine_losses(ls: Tensor, lu: Tensor, beta: float) -> Tensor:
 # whole-sequence baselines (concat and split share the causal machinery)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CausalBatch:
-    tokens: np.ndarray      # (batch, width)
-    validity: np.ndarray
-    loss_mask: np.ndarray
-    positions: np.ndarray
-
-
-def pad_causal_batch(pairs: list[tuple[np.ndarray, np.ndarray]]) -> CausalBatch:
+def pad_causal_batch(pairs: list[tuple[np.ndarray, np.ndarray]]) -> PackedBatch:
     """Pad (ids, loss_mask) sequences into one right-padded grid."""
     width = max(len(ids) for ids, _ in pairs)
     batch = len(pairs)
@@ -254,9 +291,7 @@ def pad_causal_batch(pairs: list[tuple[np.ndarray, np.ndarray]]) -> CausalBatch:
         tokens[i, :len(ids)] = ids
         loss[i, :len(mask)] = mask
     validity = tokens != ByteTokenizer.PAD
-    offsets = np.cumsum(validity, axis=1) - 1
-    positions = np.where(validity, offsets, 0).astype(np.int64)
-    return CausalBatch(tokens, validity, loss, positions)
+    return PackedBatch(tokens, validity, loss, np.zeros(tokens.shape, dtype=np.int64))
 
 
 def concat_pairs(samples: list[DialogueSample], tokenizer: ByteTokenizer,
@@ -280,13 +315,10 @@ def split_pairs(samples: list[DialogueSample], tokenizer: ByteTokenizer,
     return out
 
 
-def causal_loss(model: Transformer, adapters: RoleAdapters, batch: CausalBatch):
+def causal_loss(model: Transformer, adapters: RoleAdapters, batch: PackedBatch):
     """Agent-span token-mean loss of a plain causal pass (agent deltas)."""
-    c = model.config
-    mem = RoundMemory.empty(batch.tokens.shape[0], c.n_layers, c.n_heads, c.head_dim)
-    mask = mem.build_mask(batch.validity)
-    logits, _ = model.forward_segment(batch.tokens, batch.positions, "agent",
-                                      adapters, cache=None, mask=mask)
+    logits, _ = model.forward_segment(batch.tokens, batch.positions, "agent", adapters,
+                                      mask=visibility_mask(batch))
     targets, tmask = shifted_targets(batch.tokens, batch.loss_mask)
     return rt.cross_entropy(logits, targets, tmask)
 
@@ -374,65 +406,3 @@ def train(samples: list[DialogueSample], cfg: TrainConfig,
                         "L_total": sums["L_total"], "lr": lr})
             step += 1
     return TrainResult(model=model, adapters=adapters, loss_log=log)
-
-
-class DialogueTuner:
-    """Estimator-style wrapper: configure, fit on a corpus, inspect results.
-
-    Parameters mirror TrainConfig plus the model size; after fit() the trained
-    pieces are available as model_, adapters_, and loss_log_.
-    """
-
-    def __init__(self, mode: str = "midi", beta: float = 1.0, lr: float = 2e-5,
-                 warmup_ratio: float = 0.03, batch_size: int = 16,
-                 micro_batch: int | None = None, epochs: int = 3,
-                 max_rounds: int = 10, seed: int = 0, rank: int = 8,
-                 alpha: float = 16.0, weight_decay: float = 0.0,
-                 strict_cross_round: bool = False,
-                 user_sees_instruction: bool = True,
-                 backprop_through_rounds: bool = False,
-                 model_config: ModelConfig | None = None):
-        self.mode = mode
-        self.beta = beta
-        self.lr = lr
-        self.warmup_ratio = warmup_ratio
-        self.batch_size = batch_size
-        self.micro_batch = micro_batch
-        self.epochs = epochs
-        self.max_rounds = max_rounds
-        self.seed = seed
-        self.rank = rank
-        self.alpha = alpha
-        self.weight_decay = weight_decay
-        self.strict_cross_round = strict_cross_round
-        self.user_sees_instruction = user_sees_instruction
-        self.backprop_through_rounds = backprop_through_rounds
-        self.model_config = model_config
-
-    _PARAM_NAMES = (
-        "mode", "beta", "lr", "warmup_ratio", "batch_size", "micro_batch",
-        "epochs", "max_rounds", "seed", "rank", "alpha", "weight_decay",
-        "strict_cross_round", "user_sees_instruction", "backprop_through_rounds",
-        "model_config",
-    )
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._PARAM_NAMES}
-
-    def set_params(self, **params) -> "DialogueTuner":
-        for name, value in params.items():
-            if name not in self._PARAM_NAMES:
-                raise ConfigError(f"unknown parameter {name!r} for DialogueTuner")
-            setattr(self, name, value)
-        return self
-
-    def train_config(self) -> TrainConfig:
-        fields = {n: getattr(self, n) for n in self._PARAM_NAMES if n != "model_config"}
-        return TrainConfig(**fields)
-
-    def fit(self, samples: list[DialogueSample]) -> "DialogueTuner":
-        result = train(samples, self.train_config(), model_config=self.model_config)
-        self.model_ = result.model
-        self.adapters_ = result.adapters
-        self.loss_log_ = result.loss_log
-        return self

@@ -202,25 +202,6 @@ class TestBuildMask:
         mask = mem.build_mask(np.array([[1, 0]]))
         np.testing.assert_array_equal(mask[0, 1], [MASK_NEG, MASK_NEG, MASK_NEG, 0.0])
 
-    def test_exclude_tags_hides_those_slots(self):
-        rng = np.random.default_rng(16)
-        mem = RoundMemory.empty(1, 2, 2, 4)
-        mem = mem.append(make_segment(rng, batch=1, seg=2), np.ones((1, 2)), "instruction")
-        mem = mem.append(make_segment(rng, batch=1, seg=2), np.ones((1, 2)), "user")
-        mask = mem.build_mask(np.ones((1, 1)), exclude_tags=("instruction",))
-        np.testing.assert_array_equal(mask[0, 0], [MASK_NEG, MASK_NEG, 0.0, 0.0, 0.0])
-        with pytest.raises(ShapeError):
-            mem.build_mask(np.ones((1, 1)), exclude_tags=("bogus",))
-
-    def test_include_current_false_limits_to_cache_and_self(self):
-        rng = np.random.default_rng(17)
-        mem = RoundMemory.empty(1, 2, 2, 4).append(
-            make_segment(rng, batch=1, seg=2), np.ones((1, 2)), "user"
-        )
-        mask = mem.build_mask(np.ones((1, 3)), include_current=False)
-        # query 2 sees both cached slots and itself, not earlier segment slots
-        np.testing.assert_array_equal(mask[0, 2], [0.0, 0.0, MASK_NEG, MASK_NEG, 0.0])
-
     def test_mask_values_are_binary(self):
         rng = np.random.default_rng(18)
         mem = RoundMemory.empty(2, 2, 2, 4).append(

@@ -304,6 +304,75 @@ class TestSoftmax:
 
 
 # ---------------------------------------------------------------------------
+# attention
+# ---------------------------------------------------------------------------
+
+class TestAttention:
+    B, H, S, T, D = 2, 2, 3, 5, 4
+
+    def operands(self, seed):
+        rng = np.random.default_rng(seed)
+        q = rng.standard_normal((self.B, self.H, self.S, self.D))
+        k = rng.standard_normal((self.B, self.H, self.T, self.D))
+        v = rng.standard_normal((self.B, self.H, self.T, self.D))
+        visible = rng.random((self.B, self.S, self.T)) < 0.7
+        visible[:, :, 0] = True
+        mask = np.where(visible, 0.0, rt.MASK_NEG)
+        w = rng.standard_normal((self.B, self.H, self.S, self.D))
+        return q, k, v, mask, w
+
+    def test_gradient(self):
+        q, k, v, mask, w = self.operands(20)
+        assert_grads_match(
+            lambda tq, tk, tv: (rt.attention(tq, tk, tv, mask, 0.5) * Tensor(w)).sum(),
+            [q, k, v])
+
+    def test_live_pairs_match_two_branch_oracle(self):
+        # dead pairs read k and v as if detached: scores and mixing each split
+        # into a live branch and a detached branch built from existing ops
+        q, k, v, mask, w = self.operands(21)
+        live = np.random.default_rng(22).random((self.B, self.S, self.T)) < 0.5
+        full = (self.B, self.H, self.S, self.T)
+        g = Tensor(np.broadcast_to(live[:, None], full).astype(np.float64))
+        not_g = Tensor(1.0 - g.data)
+        mask_t = Tensor(np.broadcast_to(mask[:, None], full).copy())
+
+        def oracle(tq, tk, tv):
+            kd, vd = tk.detach(), tv.detach()
+            scores = ((tq @ rt.swapaxes(tk, 2, 3)) * g + (tq @ rt.swapaxes(kd, 2, 3)) * not_g)
+            probs = rt.softmax(scores * 0.5 + mask_t, axis=-1)
+            out = (probs * g) @ tv + (probs * not_g) @ vd
+            return (out * Tensor(w)).sum()
+
+        def fused(tq, tk, tv):
+            return (rt.attention(tq, tk, tv, mask, 0.5, live=live) * Tensor(w)).sum()
+
+        expected = analytic_grads(oracle, [q, k, v], np.float64)
+        got = analytic_grads(fused, [q, k, v], np.float64)
+        assert fused(*map(Tensor, (q, k, v))).item() == pytest.approx(
+            oracle(*map(Tensor, (q, k, v))).item(), abs=1e-12)
+        for name, e, a in zip("qkv", expected, got):
+            np.testing.assert_allclose(a, e, atol=1e-12, err_msg=name)
+
+    def test_fully_masked_row_stays_finite(self):
+        q, k, v, mask, w = self.operands(23)
+        mask[0, 1, :] = rt.MASK_NEG
+        tensors = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+        with Tape() as tape:
+            out = rt.attention(*tensors, mask, 0.5)
+            loss = (out * Tensor(w)).sum()
+        grads = tape.backward(loss)
+        assert np.isfinite(out.data).all()
+        assert all(np.isfinite(grads[t]).all() for t in tensors)
+
+    def test_non_finite_scores_rejected(self):
+        q, k, v, mask, _ = self.operands(24)
+        q[0, 0, 0, 0] = np.nan
+        with pytest.raises(ValueError):
+            rt.attention(Tensor(q), Tensor(k), Tensor(v), mask, 0.5)
+
+
+# ---------------------------------------------------------------------------
 # cross entropy
 # ---------------------------------------------------------------------------
 

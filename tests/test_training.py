@@ -20,7 +20,6 @@ from roletune.model import ModelConfig, RoleAdapters, Transformer
 from roletune.tensor import Tape, Tensor
 from roletune.training import (
     AdamW,
-    DialogueTuner,
     TrainConfig,
     causal_loss,
     combine_losses,
@@ -199,6 +198,55 @@ class TestMidiLosses:
         expected = reference_role_nll(model, adapters, sample)
         assert ls.item() == pytest.approx(expected["agent"], abs=1e-5)
         assert lu.item() == pytest.approx(expected["user"], abs=1e-5)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("user_sees_instruction", [True, False])
+    def test_visibility_options_match_reference_mask(self, strict, user_sees_instruction):
+        # two dialogues with unequal round counts, so the batch packs padding;
+        # the reference mask is written out from the segment lengths alone
+        model, adapters = small_setup(seed=11)
+        for t in list(model.base.params.values()) + list(adapters.trainable_parameters().values()):
+            t.data = t.data.astype(np.float64)
+        samples = [DialogueSample("persona rima", [("how now", "rima sails")]),
+                   DialogueSample("persona olo", [("why", "olo maps far"),
+                                                  ("tell me", "olo tides")])]
+        [batch] = build_round_batches(samples, TOK, batch_size=2)
+        cfg = TrainConfig(strict_cross_round=strict, user_sees_instruction=user_sees_instruction)
+        ls, lu, n_s, n_u = midi_losses(model, adapters, batch, cfg)
+
+        ad = dict(adapters.named_arrays())
+        ad["alpha"] = adapters.alpha
+        nlls = {"user": [], "agent": []}
+        for sample in samples:
+            segs = [(TOK.encode_instruction(sample.instruction), "instruction")]
+            for user, agent in sample.rounds:
+                segs += [(TOK.encode_utterance("user", user), "user"),
+                         (TOK.encode_utterance("agent", agent), "agent")]
+            ids = np.concatenate([ids for ids, _ in segs])
+            seg_of = np.concatenate([np.full(len(ids), i) for i, (ids, _) in enumerate(segs)])
+            kind = [segs[i][1] for i in seg_of]
+            n = len(ids)
+            mask = np.full((n, n), ref.NEG)
+            for qi in range(n):
+                for ki in range(qi + 1):
+                    same = seg_of[ki] == seg_of[qi]
+                    hidden = kind[qi] == "user" and kind[ki] == "instruction"
+                    if ki == qi or (not same and not (hidden and not user_sees_instruction)) \
+                            or (same and not strict):
+                        mask[qi, ki] = 0.0
+            codes = np.array([0 if k == "user" else 1 for k in kind])
+            logits = ref.forward_full(SMALL.to_dict(), model.base.named_arrays(), ad,
+                                      ids[None, :], np.arange(n)[None, :], codes[None, :],
+                                      mask=mask[None])[0]
+            top = logits.max(-1, keepdims=True)
+            logp = logits - top - np.log(np.exp(logits - top).sum(-1, keepdims=True))
+            for j in range(1, n):
+                first = seg_of[j] != seg_of[j - 1]
+                if kind[j] != "instruction" and not first:
+                    nlls[kind[j]].append(-logp[j - 1, ids[j]])
+        assert (n_s, n_u) == (len(nlls["agent"]), len(nlls["user"]))
+        assert ls.item() == pytest.approx(np.mean(nlls["agent"]), abs=1e-10)
+        assert lu.item() == pytest.approx(np.mean(nlls["user"]), abs=1e-10)
 
     def test_beta_zero_leaves_user_deltas_without_gradient(self):
         model, adapters = small_setup(seed=3)
@@ -518,24 +566,3 @@ class TestTrainLoop:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ConfigError):
             train([], TrainConfig(), model_config=SMALL)
-
-
-class TestDialogueTuner:
-    def test_get_set_params_round_trip(self):
-        tuner = DialogueTuner(mode="concat", lr=1e-3)
-        params = tuner.get_params()
-        clone = DialogueTuner(**params)
-        assert clone.get_params() == params
-        tuner.set_params(beta=0.5, epochs=1)
-        assert tuner.beta == 0.5 and tuner.epochs == 1
-
-    def test_unknown_param_rejected(self):
-        with pytest.raises(ConfigError):
-            DialogueTuner().set_params(gamma=1.0)
-
-    def test_fit_exposes_artifacts(self):
-        tuner = DialogueTuner(mode="midi", batch_size=4, epochs=1, lr=1e-3,
-                              rank=2, seed=3, model_config=SMALL)
-        tuner.fit(synth_generate(1, 4, default_synth_spec()))
-        assert hasattr(tuner, "model_") and hasattr(tuner, "adapters_")
-        assert len(tuner.loss_log_) == 1
