@@ -84,21 +84,36 @@ def load_checkpoint(path):
     try:
         config = ModelConfig.from_dict(header["model_config"])
         meta = header["adapters"]
+        targets = {role: tuple(projs) for role, projs in meta["targets"].items()}
+        rank, alpha = int(meta["rank"]), float(meta["alpha"])
         entries = header["arrays"]
+        if not isinstance(entries, list):
+            raise TypeError("'arrays' is not a list")
         extra = header.get("extra", {})
-    except (KeyError, TypeError, ValueError) as e:
+    except KeyError as e:
+        raise CheckpointError(f"{path}: malformed header (no {e} entry)") from e
+    except (AttributeError, TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: malformed header ({e})") from e
 
     arrays: dict[str, np.ndarray] = {}
     offset = header_end
-    for entry in entries:
-        shape = tuple(entry["shape"])
-        dtype = np.dtype(entry["dtype"]).newbyteorder("<")
-        nbytes = int(np.prod(shape)) * dtype.itemsize
+    for i, entry in enumerate(entries):
+        try:
+            name, shape = str(entry["name"]), tuple(entry["shape"])
+            dtype = np.dtype(str(entry["dtype"])).newbyteorder("<")
+        except KeyError as e:
+            raise CheckpointError(f"{path}: array entry {i} lacks {e}") from e
+        except TypeError as e:
+            raise CheckpointError(f"{path}: array entry {i} is malformed ({e})") from e
+        if dtype.kind != "f" or not all(isinstance(n, int) and n >= 0 for n in shape):
+            raise CheckpointError(f"{path}: array entry {i} ({name!r}) has dtype {dtype} and "
+                                  f"shape {shape}; expected a float dtype and a list of sizes")
+        count = int(np.prod(shape))
+        nbytes = count * dtype.itemsize
         if offset + nbytes > len(payload):
-            raise CheckpointError(f"{path}: payload ends inside array {entry['name']!r}")
-        arr = np.frombuffer(payload, dtype=dtype, count=int(np.prod(shape)), offset=offset)
-        arrays[entry["name"]] = arr.reshape(shape).astype(dtype.newbyteorder("="), copy=True)
+            raise CheckpointError(f"{path}: payload ends inside array {name!r}")
+        arr = np.frombuffer(payload, dtype=dtype, count=count, offset=offset)
+        arrays[name] = arr.reshape(shape).astype(dtype.newbyteorder("="), copy=True)
         offset += nbytes
     if offset != len(payload):
         raise CheckpointError(f"{path}: {len(payload) - offset} trailing bytes after arrays")
@@ -118,9 +133,7 @@ def load_checkpoint(path):
         params[name] = Tensor(arrays[key])
     model = Transformer(config, BaseWeights(config, params))
 
-    targets = {role: tuple(projs) for role, projs in meta["targets"].items()}
-    adapters = RoleAdapters(config, rank=int(meta["rank"]), alpha=float(meta["alpha"]),
-                            targets=targets, seed=0)
+    adapters = RoleAdapters(config, rank=rank, alpha=alpha, targets=targets, seed=0)
     for name, tensor in adapters.trainable_parameters().items():
         key = f"adapters.{name}"
         if key not in arrays:

@@ -89,6 +89,16 @@ class DialogueSample:
             return None
         return self.target.get("round", len(self.rounds))
 
+    def last_rounds(self, n: int) -> "DialogueSample":
+        """The dialogue cut to its last n rounds. A target round is renumbered
+        over them; a target whose round was cut goes with it."""
+        kept = self.rounds[-n:]
+        target = self.target
+        if target is not None and target.get("round") is not None:
+            rnd = target["round"] - (len(self.rounds) - len(kept))
+            target = {**target, "round": rnd} if rnd >= 1 else None
+        return DialogueSample(self.instruction, kept, target)
+
     def to_record(self) -> dict:
         turns = []
         for user, agent in self.rounds:
@@ -158,11 +168,6 @@ class SegmentBatch:
     tokens: np.ndarray      # (batch, width) ids, PAD-filled
     validity: np.ndarray    # (batch, width) bool
     loss_mask: np.ndarray   # (batch, width) bool — prediction targets only
-    positions: np.ndarray   # (batch, width) continuous ids, 0 at padding
-
-    @property
-    def width(self) -> int:
-        return self.tokens.shape[1]
 
 
 @dataclass
@@ -183,9 +188,8 @@ class RoundBatch:
         return len(self.rounds)
 
 
-def _segment_batch(seqs: list[list[int]], loss_from: int | None,
-                   counts: np.ndarray) -> SegmentBatch:
-    """Pad sequences right, derive validity/loss/positions, advance counts.
+def _segment_batch(seqs: list[list[int]], loss_from: int | None) -> SegmentBatch:
+    """Pad sequences right and derive validity and loss grids.
 
     loss_from: index of the first in-segment slot scored by the loss (1 skips
     the leading role special), or None for a loss-free segment.
@@ -199,11 +203,7 @@ def _segment_batch(seqs: list[list[int]], loss_from: int | None,
         tokens[i, :len(s)] = s
         if loss_from is not None and len(s) > loss_from:
             loss[i, loss_from:len(s)] = True
-    validity = tokens != ByteTokenizer.PAD
-    offsets = np.cumsum(validity, axis=1) - 1
-    positions = np.where(validity, counts[:, None] + offsets, 0).astype(np.int64)
-    counts += validity.sum(axis=1)
-    return SegmentBatch(tokens, validity, loss, positions)
+    return SegmentBatch(tokens, tokens != ByteTokenizer.PAD, loss)
 
 
 def build_round_batches(samples: list[DialogueSample], tokenizer: ByteTokenizer,
@@ -212,8 +212,7 @@ def build_round_batches(samples: list[DialogueSample], tokenizer: ByteTokenizer,
 
     Dialogues longer than max_rounds keep their last max_rounds rounds. Within
     a batch, dialogues are sorted by round count descending so later rounds
-    form a shrinking valid set. Position ids continue across segments over
-    valid tokens only.
+    form a shrinking valid set.
     """
     if not samples:
         raise CorpusError("empty sample set")
@@ -224,16 +223,10 @@ def build_round_batches(samples: list[DialogueSample], tokenizer: ByteTokenizer,
 
     batches = []
     for start in range(0, len(samples), batch_size):
-        chunk = [s.validate() for s in samples[start:start + batch_size]]
-        chunk = [
-            DialogueSample(s.instruction, s.rounds[-max_rounds:], s.target)
-            for s in chunk
-        ]
+        chunk = [s.validate().last_rounds(max_rounds) for s in samples[start:start + batch_size]]
         chunk.sort(key=lambda s: -len(s.rounds))
-        counts = np.zeros(len(chunk), dtype=np.int64)
         instruction = _segment_batch(
-            [tokenizer.encode_instruction(s.instruction) for s in chunk], None, counts
-        )
+            [tokenizer.encode_instruction(s.instruction) for s in chunk], None)
         n_rounds = max(len(s.rounds) for s in chunk)
         rounds = []
         for t in range(n_rounds):
@@ -244,7 +237,7 @@ def build_round_batches(samples: list[DialogueSample], tokenizer: ByteTokenizer,
                     if t < len(s.rounds) else []
                     for s in chunk
                 ]
-                segs[role] = _segment_batch(seqs, 1, counts)
+                segs[role] = _segment_batch(seqs, 1)
             rounds.append(segs)
         batches.append(RoundBatch(
             instruction, rounds,
@@ -254,43 +247,27 @@ def build_round_batches(samples: list[DialogueSample], tokenizer: ByteTokenizer,
 
 
 # ---------------------------------------------------------------------------
-# baseline sample layouts
+# fitting dialogues to the model, and the split layout
 # ---------------------------------------------------------------------------
 
-def make_concat_sample(sample: DialogueSample, tokenizer: ByteTokenizer,
-                       max_positions: int = 2048):
-    """One whole-dialogue token sequence plus its agent-span loss mask.
-
-    Early rounds are dropped whole when the sequence would overflow
-    max_positions; the instruction is always kept.
+def fit_dialogue(sample: DialogueSample, tokenizer: ByteTokenizer,
+                 max_rounds: int, max_positions: int) -> DialogueSample:
+    """The dialogue every training mode sees: its last max_rounds rounds,
+    then its earliest rounds dropped whole while the instruction plus every
+    utterance would overflow max_positions. The instruction is always kept;
+    a dialogue that does not fit even at one round raises CapacityError.
     """
     sample.validate()
-    rounds = list(sample.rounds)
-    instruction = tokenizer.encode_instruction(sample.instruction)
-
-    def total_len(rs):
-        return len(instruction) + sum(
-            len(tokenizer.encode_utterance("user", u)) + len(tokenizer.encode_utterance("agent", a))
-            for u, a in rs
-        )
-
-    while len(rounds) > 1 and total_len(rounds) > max_positions:
-        rounds = rounds[1:]
-    if total_len(rounds) > max_positions:
+    rounds = sample.rounds[-max_rounds:]
+    # positions taken by the instruction plus the last 1, 2, ... rounds
+    needed = len(tokenizer.encode_instruction(sample.instruction)) + np.cumsum([
+        len(tokenizer.encode_utterance("user", u)) + len(tokenizer.encode_utterance("agent", a))
+        for u, a in reversed(rounds)])
+    keep = int((needed <= max_positions).sum())
+    if keep == 0:
         raise CapacityError(
-            f"dialogue needs {total_len(rounds)} positions even at one round; limit {max_positions}"
-        )
-
-    ids = list(instruction)
-    mask = [False] * len(instruction)
-    for user, agent in rounds:
-        u = tokenizer.encode_utterance("user", user)
-        ids.extend(u)
-        mask.extend([False] * len(u))
-        a = tokenizer.encode_utterance("agent", agent)
-        ids.extend(a)
-        mask.extend([False] + [True] * (len(a) - 1))
-    return np.array(ids, dtype=np.int64), np.array(mask, dtype=bool)
+            f"dialogue needs {needed[0]} positions even at one round; limit {max_positions}")
+    return sample.last_rounds(keep)
 
 
 def make_split_samples(sample: DialogueSample, tokenizer: ByteTokenizer):

@@ -23,10 +23,8 @@ from .tensor import MASK_NEG, Tensor
 SLOT_TAGS = ("instruction", "user", "agent")
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
+def _lock(arr: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(arr)
-    if out is arr:
-        out = arr.copy()
     out.flags.writeable = False
     return out
 
@@ -41,10 +39,14 @@ class RoundMemory:
     """
 
     def __init__(self, layers, validity, counts, tags):
-        self.layers = [(_freeze(k), _freeze(v)) for k, v in layers]
-        self.validity = _freeze(np.asarray(validity, dtype=bool))
-        self.counts = _freeze(np.asarray(counts, dtype=np.int64))
-        self.tags = _freeze(np.asarray(tags, dtype=np.int8))
+        # copies, so the caller's arrays can change freely
+        self._hold([(np.array(k), np.array(v)) for k, v in layers], np.array(validity, dtype=bool),
+                   np.array(counts, dtype=np.int64), np.array(tags, dtype=np.int8))
+
+    def _hold(self, layers, validity, counts, tags):
+        """Keep arrays built for this memory alone: made read-only, not copied."""
+        self.layers = [(_lock(k), _lock(v)) for k, v in layers]
+        self.validity, self.counts, self.tags = _lock(validity), _lock(counts), _lock(tags)
         b, m = self.validity.shape
         if self.counts.shape != (b,):
             raise ShapeError(f"counts shape {self.counts.shape} vs batch {b}")
@@ -105,12 +107,14 @@ class RoundMemory:
                 raise ShapeError(f"segment K/V shape {k_new.shape} vs batch {self.batch}, seg {seg}")
             layers.append((np.concatenate([k_old, k_new], axis=2),
                            np.concatenate([v_old, v_new], axis=2)))
-        return RoundMemory(
+        out = RoundMemory.__new__(RoundMemory)
+        out._hold(
             layers,
             np.concatenate([self.validity, validity], axis=1),
             self.counts + validity.sum(axis=1),
             np.concatenate([self.tags, np.full(seg, SLOT_TAGS.index(tag), dtype=np.int8)]),
         )
+        return out
 
     def next_positions(self, segment_validity) -> np.ndarray:
         """Continuous position ids for an incoming segment.

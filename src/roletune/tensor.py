@@ -262,7 +262,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = _raw(a.data * b.data)
 
     def backward(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
 
     return _maybe_record((a, b), out, backward)
 

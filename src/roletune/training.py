@@ -12,14 +12,16 @@ Three modes over the same frozen backbone, each one causal pass per batch:
   loss reaches the deltas that encoded it; every other read is detached, so
   no gradient crosses a round boundary and L_u never reaches the agent
   deltas. One step optimizes L = L_s + beta * L_u over both delta sets.
-- "concat": each dialogue as one causal sequence, loss on agent spans,
-  agent deltas only.
+- "concat": midi's packed grid as one causal sequence per dialogue: every
+  token under the agent deltas, every read live, loss on agent spans only.
 - "split": one (context, response) sample per round, loss on the response,
   agent deltas only.
 
-Losses are token means per role per batch. All randomness forks from the run
-seed by labeled streams, so e.g. midi and concat runs share base and agent
-initializations exactly.
+Before any of them, `train` fits each dialogue to max_rounds and the model's
+max_positions by one rule (`data.fit_dialogue`), so all three modes see the
+same rounds. Losses are token means per role per batch. All randomness forks
+from the run seed by labeled streams, so e.g. midi and concat runs share base
+and agent initializations exactly.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .data import (
     DialogueSample,
     RoundBatch,
     build_round_batches,
-    make_concat_sample,
+    fit_dialogue,
     make_split_samples,
 )
 from .errors import ConfigError
@@ -163,8 +165,7 @@ class PackedBatch:
     order, padding after them, plus the segment each token came from.
 
     Segment 0 is the instruction; user (odd) and agent (even) utterances
-    follow, round by round. A whole-sequence batch is one segment 0 per
-    row, run under the agent deltas.
+    follow, round by round. A split batch is one segment 0 per row.
     """
 
     tokens: np.ndarray      # (batch, width)
@@ -278,7 +279,7 @@ def combine_losses(ls: Tensor, lu: Tensor, beta: float) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# whole-sequence baselines (concat and split share the causal machinery)
+# whole-sequence baselines (concat and split share the causal pass)
 # ---------------------------------------------------------------------------
 
 def pad_causal_batch(pairs: list[tuple[np.ndarray, np.ndarray]]) -> PackedBatch:
@@ -294,20 +295,10 @@ def pad_causal_batch(pairs: list[tuple[np.ndarray, np.ndarray]]) -> PackedBatch:
     return PackedBatch(tokens, validity, loss, np.zeros(tokens.shape, dtype=np.int64))
 
 
-def concat_pairs(samples: list[DialogueSample], tokenizer: ByteTokenizer,
-                 cfg: TrainConfig, max_positions: int):
+def split_pairs(samples: list[DialogueSample], tokenizer: ByteTokenizer):
     out = []
     for s in samples:
-        trimmed = DialogueSample(s.instruction, s.rounds[-cfg.max_rounds:], s.target)
-        out.append(make_concat_sample(trimmed, tokenizer, max_positions))
-    return out
-
-def split_pairs(samples: list[DialogueSample], tokenizer: ByteTokenizer,
-                cfg: TrainConfig):
-    out = []
-    for s in samples:
-        trimmed = DialogueSample(s.instruction, s.rounds[-cfg.max_rounds:], s.target)
-        for context, response in make_split_samples(trimmed, tokenizer):
+        for context, response in make_split_samples(s, tokenizer):
             ids = np.concatenate([context, response])
             mask = np.zeros(len(ids), dtype=bool)
             mask[len(context) + 1:] = True  # response bytes + EOS, not its role special
@@ -316,11 +307,12 @@ def split_pairs(samples: list[DialogueSample], tokenizer: ByteTokenizer,
 
 
 def causal_loss(model: Transformer, adapters: RoleAdapters, batch: PackedBatch):
-    """Agent-span token-mean loss of a plain causal pass (agent deltas)."""
+    """Agent-span token-mean loss of a plain causal pass (agent deltas); a
+    split grid is all segment 0, which counts as agent."""
     logits, _ = model.forward_segment(batch.tokens, batch.positions, "agent", adapters,
                                       mask=visibility_mask(batch))
     targets, tmask = shifted_targets(batch.tokens, batch.loss_mask)
-    return rt.cross_entropy(logits, targets, tmask)
+    return rt.cross_entropy(logits, targets, tmask & batch.is_agent)
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +336,10 @@ def train(samples: list[DialogueSample], cfg: TrainConfig,
           adapters: RoleAdapters | None = None) -> TrainResult:
     """Run the configured mode over the corpus; deterministic under cfg.seed.
 
-    Emits one loss-log record per optimizer step: {step, L_s, L_u, L_total, lr}.
-    Aborts with a RuntimeError if the loss leaves the finite range.
+    Every dialogue is first fitted to cfg.max_rounds and
+    model_config.max_positions (`fit_dialogue`). Emits one loss-log record
+    per optimizer step: {step, L_s, L_u, L_total, lr}. Aborts with a
+    RuntimeError if the loss leaves the finite range.
     """
     if not samples:
         raise ConfigError("training corpus is empty")
@@ -354,6 +348,8 @@ def train(samples: list[DialogueSample], cfg: TrainConfig,
     adapters = adapters or RoleAdapters(model_config, rank=cfg.rank, alpha=cfg.alpha,
                                         seed=cfg.seed)
     tokenizer = ByteTokenizer()
+    samples = [fit_dialogue(s, tokenizer, cfg.max_rounds, model_config.max_positions)
+               for s in samples]
     roles = ("user", "agent") if cfg.mode == "midi" else ("agent",)
     optimizer = AdamW(adapters.trainable_parameters(roles),
                       weight_decay=cfg.weight_decay)
@@ -362,13 +358,9 @@ def train(samples: list[DialogueSample], cfg: TrainConfig,
     def epoch_units(epoch):
         order = labeled_rng(cfg.seed, f"data-order-epoch{epoch}").permutation(len(samples))
         shuffled = [samples[i] for i in order]
-        if cfg.mode == "midi":
-            return _chunk(shuffled, cfg.batch_size)
-        if cfg.mode == "concat":
-            pairs = concat_pairs(shuffled, tokenizer, cfg, model_config.max_positions)
-        else:
-            pairs = split_pairs(shuffled, tokenizer, cfg)
-        return _chunk(pairs, cfg.batch_size)
+        if cfg.mode == "split":
+            return _chunk(split_pairs(shuffled, tokenizer), cfg.batch_size)
+        return _chunk(shuffled, cfg.batch_size)
 
     steps_per_epoch = len(epoch_units(0))
     total_steps = steps_per_epoch * cfg.epochs
@@ -383,15 +375,17 @@ def train(samples: list[DialogueSample], cfg: TrainConfig,
             sums = {"L_s": 0.0, "L_u": 0.0, "L_total": 0.0}
             for micro_unit in micro_units:
                 with Tape() as tape:
-                    if cfg.mode == "midi":
+                    lu = Tensor(np.zeros(()))
+                    if cfg.mode == "split":
+                        ls, _ = causal_loss(model, adapters, pad_causal_batch(micro_unit))
+                    else:
                         [batch] = build_round_batches(micro_unit, tokenizer,
                                                       len(micro_unit), cfg.max_rounds)
-                        ls, lu, _, _ = midi_losses(model, adapters, batch, cfg)
-                        total = combine_losses(ls, lu, cfg.beta)
-                    else:
-                        batch = pad_causal_batch(micro_unit)
-                        ls, _ = causal_loss(model, adapters, batch)
-                        lu, total = Tensor(np.zeros(())), ls
+                        if cfg.mode == "midi":
+                            ls, lu, _, _ = midi_losses(model, adapters, batch, cfg)
+                        else:
+                            ls, _ = causal_loss(model, adapters, pack_round_batch(batch))
+                    total = combine_losses(ls, lu, cfg.beta) if cfg.mode == "midi" else ls
                     scaled = total * scale if scale != 1.0 else total
                 tape.backward(scaled)
                 sums["L_s"] += ls.item() * scale

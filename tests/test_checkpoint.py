@@ -149,6 +149,30 @@ class TestRejection:
         with pytest.raises(CheckpointError, match="missing adapter weight"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("defect, mutate", [
+        ("lacks 'dtype'", lambda h: h["arrays"][0].pop("dtype")),
+        ("lacks 'shape'", lambda h: h["arrays"][0].pop("shape")),
+        ("lacks 'name'", lambda h: h["arrays"][0].pop("name")),
+        ("entry 0 is malformed .*float99", lambda h: h["arrays"][0].update(dtype="float99")),
+        ("dtype int32", lambda h: h["arrays"][0].update(dtype="int32")),
+        (r"shape \('a', 'b', 'c'\)", lambda h: h["arrays"][0].update(shape="abc")),
+        ("entry 0 is malformed", lambda h: h.update(arrays=[1, 2])),
+        ("'arrays' is not a list", lambda h: h.update(arrays=5)),
+        ("no 'targets' entry", lambda h: h["adapters"].pop("targets")),
+    ], ids=["no-dtype", "no-shape", "no-name", "unknown-dtype", "int-dtype", "string-shape",
+            "entries-not-objects", "arrays-not-a-list", "no-adapter-targets"])
+    def test_malformed_header_entry(self, tmp_path, defect, mutate):
+        path = self.make_file(tmp_path)
+        raw = path.read_bytes()
+        (header_len,) = struct.unpack_from("<I", raw, 8)
+        header = json.loads(raw[12:12 + header_len].decode("utf-8"))
+        mutate(header)
+        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        path.write_bytes(MAGIC + struct.pack("<I", VERSION)
+                         + struct.pack("<I", len(blob)) + blob + raw[12 + header_len:])
+        with pytest.raises(CheckpointError, match=defect):
+            load_checkpoint(path)
+
     def test_not_a_file_at_all(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"hello world this is not weights")

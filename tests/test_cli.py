@@ -2,6 +2,8 @@
 
 import io
 import json
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -356,3 +358,15 @@ class TestParsing:
                      "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["train"]["batch_size"] == 6
+
+
+def test_readme_quickstart_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Quickstart", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```bash\n(.*?)```", section, re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("roletune ")]
+    assert len(commands) == 6
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)

@@ -12,14 +12,16 @@ from roletune.data import (
     SynthSpec,
     build_round_batches,
     default_synth_spec,
+    fit_dialogue,
     load_corpus,
-    make_concat_sample,
     make_split_samples,
     save_corpus,
     synth_generate,
 )
 from roletune.errors import CapacityError, ConfigError, CorpusError
 from roletune.memory import RoundMemory
+from roletune.model import ModelConfig, RoleAdapters, Transformer
+from roletune.training import causal_loss, pack_round_batch, shifted_targets
 
 TOK = ByteTokenizer()
 
@@ -156,6 +158,27 @@ def two_round_sample():
     return DialogueSample("be brief", [("hi there", "hello you"), ("more", "sure thing")])
 
 
+def packed(samples):
+    """The one training layout: a round batch packed into a causal grid."""
+    [batch] = build_round_batches(samples, TOK, batch_size=len(samples))
+    return pack_round_batch(batch)
+
+
+def concat_scored(samples):
+    """(grid, scored target mask, scored count) of a concat-mode loss."""
+    config = ModelConfig(d_model=8, n_layers=1, n_heads=1, d_ff=16,
+                         vocab_size=ByteTokenizer.vocab_size, max_positions=512)
+    grid = packed(samples)
+    _, n = causal_loss(Transformer.create(config, 0), RoleAdapters(config, rank=1, seed=0), grid)
+    _, tmask = shifted_targets(grid.tokens, grid.loss_mask)
+    return grid, tmask & grid.is_agent, n
+
+
+def sequence_length(sample):
+    """Tokens of the whole dialogue: the last split sample holds all of them."""
+    return sum(len(part) for part in make_split_samples(sample, TOK)[-1])
+
+
 class TestBuildRoundBatches:
     def test_single_dialogue_all_valid(self):
         [batch] = build_round_batches([two_round_sample()], TOK, batch_size=4)
@@ -194,6 +217,13 @@ class TestBuildRoundBatches:
         text = TOK.decode([t for t in first_user.tokens[0] if t >= ByteTokenizer.OFFSET])
         assert text == "u2"
 
+    def test_truncation_renumbers_the_target_round(self):
+        rounds = [(f"u{i}", f"a{i}") for i in range(12)]
+        sample = DialogueSample("i", rounds, {"topic": "t", "round": 12})
+        [batch] = build_round_batches([sample], TOK, batch_size=1, max_rounds=10)
+        kept = batch.samples[0].validate()
+        assert kept.rounds == rounds[2:] and kept.target_round() == 10
+
     def test_empty_sample_set_rejected(self):
         with pytest.raises(CorpusError):
             build_round_batches([], TOK, batch_size=2)
@@ -230,70 +260,89 @@ class TestBuildRoundBatches:
     def test_positions_continuous_across_all_segments(self):
         samples = synth_generate(5, 6, default_synth_spec())
         for batch in build_round_batches(samples, TOK, batch_size=3):
+            grid = pack_round_batch(batch)
             for b in range(batch.batch):
-                seen = list(batch.instruction.positions[b][batch.instruction.validity[b]])
-                for t in range(batch.n_rounds):
-                    for role in ("user", "agent"):
-                        seg = batch.rounds[t][role]
-                        seen.extend(seg.positions[b][seg.validity[b]])
+                seen = grid.positions[b][grid.validity[b]]
                 np.testing.assert_array_equal(seen, np.arange(len(seen)))
+                # segments stay in dialogue order along the packed row
+                assert (np.diff(grid.segments[b][grid.validity[b]]) >= 0).all()
 
     def test_positions_agree_with_memory_bookkeeping(self):
-        # the batch's stored grids must match what the K/V store would assign
+        # the packed grid must give each segment the positions the K/V store
+        # assigns when decoding appends the same segments one by one
         samples = synth_generate(7, 4, default_synth_spec())
         [batch] = build_round_batches(samples, TOK, batch_size=4)
+        grid = pack_round_batch(batch)
         mem = RoundMemory.empty(batch.batch, n_layers=1, n_heads=1, head_dim=2)
-
-        def advance(seg, tag):
-            nonlocal mem
-            np.testing.assert_array_equal(seg.positions, mem.next_positions(seg.validity))
-            width = seg.tokens.shape[1]
-            kv = [(np.zeros((batch.batch, 1, width, 2), dtype=np.float32),) * 2]
+        segs = [(batch.instruction, "instruction")] + [
+            (batch.rounds[t][role], role)
+            for t in range(batch.n_rounds) for role in ("user", "agent")]
+        for i, (seg, tag) in enumerate(segs):
+            expected = mem.next_positions(seg.validity)
+            for b in range(batch.batch):
+                mine = grid.validity[b] & (grid.segments[b] == i)
+                np.testing.assert_array_equal(grid.positions[b][mine],
+                                              expected[b][seg.validity[b]])
+            kv = [(np.zeros((batch.batch, 1, seg.tokens.shape[1], 2), dtype=np.float32),) * 2]
             mem = mem.append(kv, seg.validity, tag)
-
-        advance(batch.instruction, "instruction")
-        for t in range(batch.n_rounds):
-            advance(batch.rounds[t]["user"], "user")
-            advance(batch.rounds[t]["agent"], "agent")
 
 
 class TestConcatAndSplitLayouts:
     def test_single_round_mask_covers_agent_reply(self):
         sample = DialogueSample("do it", [("ask", "answer")])
-        ids, mask = make_concat_sample(sample, TOK)
+        grid, scored, n = concat_scored([sample])
         inst = TOK.encode_instruction("do it")
         user = TOK.encode_utterance("user", "ask")
         agent = TOK.encode_utterance("agent", "answer")
-        assert ids.tolist() == inst + user + agent
+        assert grid.tokens[0].tolist() == inst + user + agent
         expected = [False] * (len(inst) + len(user)) + [False] + [True] * (len(agent) - 1)
-        assert mask.tolist() == expected
+        # position j is scored exactly when token j+1 is an agent target
+        assert scored[0, :-1].tolist() == expected[1:]
+        assert n == sum(expected)
 
     def test_mask_bits_count_agent_tokens(self):
         sample = two_round_sample()
-        ids, mask = make_concat_sample(sample, TOK)
+        _, _, n = concat_scored([sample])
         expected = sum(len(TOK.encode(a)) + 1 for _, a in sample.rounds)  # bytes + EOS
-        assert int(mask.sum()) == expected
+        assert n == expected
 
     def test_overflow_drops_earliest_rounds_keeps_instruction(self):
         rounds = [(f"user utterance {i}", f"agent reply {i}") for i in range(6)]
         sample = DialogueSample("keep me", rounds)
-        full, _ = make_concat_sample(sample, TOK, max_positions=4096)
+        full = sequence_length(fit_dialogue(sample, TOK, max_rounds=10, max_positions=4096))
         per_round = sum(
             len(TOK.encode_utterance("user", u)) + len(TOK.encode_utterance("agent", a))
             for u, a in rounds[:1]
         )
-        limit = len(full) - per_round  # forces dropping at least one round
-        ids, mask = make_concat_sample(sample, TOK, max_positions=limit)
-        assert len(ids) <= limit
-        inst = TOK.encode_instruction("keep me")
-        assert ids[:len(inst)].tolist() == inst
-        tail, _ = make_concat_sample(DialogueSample("keep me", rounds[1:]), TOK)
-        assert ids.tolist() == tail.tolist()
+        limit = full - per_round  # forces dropping at least one round
+        fitted = fit_dialogue(sample, TOK, max_rounds=10, max_positions=limit)
+        assert sequence_length(fitted) <= limit
+        assert fitted.instruction == "keep me"
+        assert fitted.rounds == rounds[1:]
 
     def test_overflow_beyond_single_round_rejected(self):
         sample = DialogueSample("i", [("u" * 50, "a" * 50)])
         with pytest.raises(CapacityError):
-            make_concat_sample(sample, TOK, max_positions=20)
+            fit_dialogue(sample, TOK, max_rounds=10, max_positions=20)
+
+    def test_fit_keeps_last_max_rounds_then_fits_positions(self):
+        rounds = [(f"u{i}", f"a{i}") for i in range(12)]
+        sample = DialogueSample("i", rounds, {"topic": "t", "round": 12})
+        fitted = fit_dialogue(sample, TOK, max_rounds=10, max_positions=4096)
+        assert fitted.rounds == rounds[2:]
+        assert fitted.target_round() == 10  # renumbered over the kept rounds
+        fitted = fit_dialogue(sample, TOK, max_rounds=10,
+                              max_positions=sequence_length(DialogueSample("i", rounds[-3:])))
+        assert fitted.rounds == rounds[-3:]
+        assert fitted.target_round() == 3
+        fitted.validate()
+        early = DialogueSample("i", rounds, {"topic": "t", "round": 1})
+        assert fit_dialogue(early, TOK, max_rounds=10, max_positions=4096).target is None
+
+    def test_fit_leaves_a_fitting_dialogue_alone(self):
+        sample = two_round_sample()
+        fitted = fit_dialogue(sample, TOK, max_rounds=10, max_positions=sequence_length(sample))
+        assert fitted.rounds == sample.rounds and fitted.instruction == sample.instruction
 
     def test_split_count_equals_rounds(self):
         sample = two_round_sample()
@@ -310,8 +359,9 @@ class TestConcatAndSplitLayouts:
         sample = two_round_sample()
         pairs = make_split_samples(sample, TOK)
         context, response = pairs[-1]
-        ids, _ = make_concat_sample(sample, TOK)
-        np.testing.assert_array_equal(np.concatenate([context, response]), ids)
+        grid = packed([sample])
+        np.testing.assert_array_equal(np.concatenate([context, response]),
+                                      grid.tokens[0][grid.validity[0]])
 
 
 class TestSynthSpec:

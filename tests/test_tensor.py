@@ -145,6 +145,17 @@ class TestElementwise:
         b = rng.standard_normal(4)
         assert_grads_match(lambda t, u: (t * u).sum(), [x, b])
 
+    def test_mul_computes_no_gradient_for_an_operand_without_grad(self):
+        x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
+        gate = Tensor(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        with Tape() as tape:
+            loss = (x * gate).sum()
+        g_x, g_gate = tape.entries[0].backward_fn(np.ones((2, 2)))
+        assert g_gate is None
+        np.testing.assert_array_equal(g_x, gate.data)
+        grads = tape.backward(loss)
+        np.testing.assert_array_equal(grads[x], gate.data)
+
     def test_scalar_division(self):
         a = Tensor(np.array([2.0, 4.0]))
         np.testing.assert_allclose((a / 2.0).data, [1.0, 2.0])

@@ -1,5 +1,6 @@
 """Tests for the optimizer, schedule, loss assembly, and the three modes."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,13 +10,13 @@ import roletune.training as tr
 from roletune.data import (
     ByteTokenizer,
     DialogueSample,
+    SynthSpec,
     build_round_batches,
     default_synth_spec,
-    make_concat_sample,
     make_split_samples,
     synth_generate,
 )
-from roletune.errors import ConfigError
+from roletune.errors import CapacityError, ConfigError
 from roletune.model import ModelConfig, RoleAdapters, Transformer
 from roletune.tensor import Tape, Tensor
 from roletune.training import (
@@ -23,9 +24,9 @@ from roletune.training import (
     TrainConfig,
     causal_loss,
     combine_losses,
-    concat_pairs,
     lr_at,
     midi_losses,
+    pack_round_batch,
     pad_causal_batch,
     shifted_targets,
     split_pairs,
@@ -375,13 +376,19 @@ class TestMidiLosses:
         assert n_s > 0 and np.isfinite(ls.item())
 
 
+def concat_grid(samples):
+    """The concat layout: midi's round batch, packed."""
+    [batch] = build_round_batches(samples, TOK, batch_size=len(samples))
+    return pack_round_batch(batch)
+
+
 class TestCausalModes:
     def test_concat_loss_matches_token_loop_oracle(self):
         model, adapters = small_setup(seed=8)
         sample = DialogueSample("persona pira", [("what when", "pira stars"),
                                                  ("about you", "pira ports maps")])
-        ids, mask = make_concat_sample(sample, TOK)
-        batch = pad_causal_batch([(ids, mask)])
+        batch = concat_grid([sample])
+        ids, mask = batch.tokens[0], (batch.loss_mask & batch.is_agent)[0]
         loss, n = causal_loss(model, adapters, batch)
 
         ad = dict(adapters.named_arrays())
@@ -416,8 +423,7 @@ class TestCausalModes:
         [batch] = build_round_batches([sample], TOK, batch_size=1)
         ls, _, _, _ = midi_losses(model, adapters, batch, TrainConfig())
 
-        ids, mask = make_concat_sample(sample, TOK)
-        loss, _ = causal_loss(model, adapters, pad_causal_batch([(ids, mask)]))
+        loss, _ = causal_loss(model, adapters, concat_grid([sample]))
         assert loss.item() == pytest.approx(ls.item(), abs=1e-5)
 
     def test_concat_differs_from_midi_once_roles_specialize(self):
@@ -427,18 +433,20 @@ class TestCausalModes:
         model, adapters = small_setup(seed=10)
         [batch] = build_round_batches([sample], TOK, batch_size=1)
         ls, _, _, _ = midi_losses(model, adapters, batch, TrainConfig())
-        ids, mask = make_concat_sample(sample, TOK)
-        loss, _ = causal_loss(model, adapters, pad_causal_batch([(ids, mask)]))
+        loss, _ = causal_loss(model, adapters, concat_grid([sample]))
         assert abs(loss.item() - ls.item()) > 1e-6
 
     def test_split_pairs_equal_concat_for_single_round(self):
         samples = [DialogueSample("persona talu", [("how", "talu decks")])]
-        cfg = TrainConfig(mode="concat")
-        c = concat_pairs(samples, TOK, cfg, SMALL.max_positions)
-        s = split_pairs(samples, TOK, TrainConfig(mode="split"))
-        assert len(c) == len(s) == 1
-        np.testing.assert_array_equal(c[0][0], s[0][0])
-        np.testing.assert_array_equal(c[0][1], s[0][1])
+        c = concat_grid(samples)
+        s = split_pairs(samples, TOK)
+        assert c.tokens.shape[0] == len(s) == 1
+        np.testing.assert_array_equal(c.tokens[0], s[0][0])
+        np.testing.assert_array_equal((c.loss_mask & c.is_agent)[0], s[0][1])
+        model, adapters = small_setup(seed=14)
+        loss_c, n_c = causal_loss(model, adapters, c)
+        loss_s, n_s = causal_loss(model, adapters, pad_causal_batch(s))
+        assert n_c == n_s and loss_c.item() == loss_s.item()
 
     def test_split_token_accounting(self):
         # split re-feeds every prefix: sum over rounds of |context_t| + |s_t|
@@ -562,6 +570,52 @@ class TestTrainLoop:
         with pytest.raises(RuntimeError, match="diverged"):
             train(self.corpus(), TrainConfig(mode="midi", batch_size=6, epochs=1),
                   model_config=SMALL)
+
+    def test_every_mode_trains_on_the_same_fitted_rounds(self, monkeypatch):
+        # 8-round dialogues overflow 96 positions: every mode must drop the
+        # same earliest rounds, keep the instruction, and train
+        spec = SynthSpec(**{**default_synth_spec().to_dict(), "rounds_min": 8, "rounds_max": 8})
+        corpus = synth_generate(2, 4, spec)
+        tight = dataclasses.replace(SMALL, max_positions=96)
+
+        def length(instruction, rounds):
+            return len(TOK.encode_instruction(instruction)) + sum(
+                len(TOK.encode_utterance("user", u)) + len(TOK.encode_utterance("agent", a))
+                for u, a in rounds)
+
+        expected = set()
+        for s in corpus:
+            drop = next(k for k in range(len(s.rounds)) if length(s.instruction, s.rounds[k:]) <= 96)
+            assert drop > 0
+            expected.add((s.instruction, tuple(s.rounds[drop:])))
+
+        seen = set()
+        real_build, real_split = tr.build_round_batches, tr.make_split_samples
+
+        def spy_build(*args, **kwargs):
+            batches = real_build(*args, **kwargs)
+            seen.update((s.instruction, tuple(s.rounds)) for b in batches for s in b.samples)
+            return batches
+
+        def spy_split(sample, tokenizer):
+            seen.add((sample.instruction, tuple(sample.rounds)))
+            return real_split(sample, tokenizer)
+
+        monkeypatch.setattr(tr, "build_round_batches", spy_build)
+        monkeypatch.setattr(tr, "make_split_samples", spy_split)
+        for mode in ("midi", "concat", "split"):
+            seen.clear()
+            cfg = TrainConfig(mode=mode, batch_size=2, epochs=1, lr=1e-3, seed=3)
+            log = train(corpus, cfg, model_config=tight).loss_log
+            assert log and all(math.isfinite(r["L_total"]) for r in log)
+            assert seen == expected, mode
+
+    def test_dialogue_beyond_max_positions_at_one_round_rejected(self):
+        sample = DialogueSample("i", [("u" * 50, "a" * 50)])
+        tight = dataclasses.replace(SMALL, max_positions=20)
+        for mode in ("midi", "concat", "split"):
+            with pytest.raises(CapacityError):
+                train([sample], TrainConfig(mode=mode), model_config=tight)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ConfigError):
