@@ -4,7 +4,9 @@ Storage and vectorized kernels come from numpy; the differentiation machinery
 is a recording tape. Ops run "eager": with no active Tape they just compute,
 under a `with Tape() as tape:` block they also append a backward rule per call.
 `tape.backward(loss)` replays the records in reverse and returns gradients for
-the trainable leaves.
+the trainable leaves. An op computes no gradient for an input that does not
+require grad: its backward returns None in that slot, so frozen weights and
+constants cost no backward work.
 
 Broadcasting is restricted to leading-axis repetition: two operands must have
 equal shapes, or one shape must be a suffix of the other. No size-1 stretching.
@@ -240,7 +242,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = _raw(a.data + b.data)
 
     def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return _maybe_record((a, b), out, backward)
 
@@ -251,7 +254,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out = _raw(a.data - b.data)
 
     def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(-g, b.shape) if b.requires_grad else None)
 
     return _maybe_record((a, b), out, backward)
 
@@ -306,7 +310,8 @@ def concat(parts: list[Tensor], axis: int) -> Tensor:
     bounds = np.cumsum(sizes)[:-1]
 
     def backward(g):
-        return tuple(np.ascontiguousarray(piece) for piece in np.split(g, bounds, axis=axis))
+        return tuple(np.ascontiguousarray(piece) if p.requires_grad else None
+                     for p, piece in zip(parts, np.split(g, bounds, axis=axis)))
 
     return _maybe_record(tuple(parts), out, backward)
 
@@ -340,9 +345,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = _raw(a.data @ b.data)
 
     def backward(g):
-        ga = g @ b.data.swapaxes(-1, -2)
-        gb = a.data.swapaxes(-1, -2) @ g
-        return ga, gb
+        return (g @ b.data.swapaxes(-1, -2) if a.requires_grad else None,
+                a.data.swapaxes(-1, -2) @ g if b.requires_grad else None)
 
     return _maybe_record((a, b), out, backward)
 
@@ -379,6 +383,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, scale: float,
     pairs whose key and value gradients flow; on the other pairs k and v act
     as if detached, while q gets its full gradient either way. None keeps
     every pair live. Rejects non-finite scores, as softmax does.
+
+    Each pass owns one (B, H, S, T) grid and works on it in place, without
+    writing to any input: the forward turns q @ k^T into the probabilities,
+    the backward turns g @ v^T into the score gradient, and applies the live
+    grid to both only after the query gradient is taken.
     """
     _check_dtype(q, k, "attention")
     _check_dtype(q, v, "attention")
@@ -391,68 +400,97 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, scale: float,
     if live is not None:
         live = np.asarray(live, dtype=bool)[:, None]
     scale = q.dtype.type(scale)
-    scores = (q.data @ k.data.swapaxes(-1, -2)) * scale + np.asarray(mask, dtype=q.dtype)[:, None]
-    if not np.isfinite(scores).all():
+    probs = q.data @ k.data.swapaxes(-1, -2)
+    probs *= scale
+    probs += np.asarray(mask, dtype=q.dtype)[:, None]
+    if not np.isfinite(probs).all():
         raise ValueError("attention: scores contain non-finite values")
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    probs = e / e.sum(axis=-1, keepdims=True)
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
     out = _raw(probs @ v.data)
 
     def backward(g):
-        dprobs = g @ v.data.swapaxes(-1, -2)
-        dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True)) * scale
-        gq = dscores @ k.data
-        if live is not None:
-            probs_kv, dscores_kv = probs * live, dscores * live
-        else:
-            probs_kv, dscores_kv = probs, dscores
-        return gq, dscores_kv.swapaxes(-1, -2) @ q.data, probs_kv.swapaxes(-1, -2) @ g
+        gq = gk = gv = None
+        gate = None if live is None else live.astype(probs.dtype)
+        if q.requires_grad or k.requires_grad:
+            dscores = g @ v.data.swapaxes(-1, -2)
+            dscores -= (dscores * probs).sum(axis=-1, keepdims=True)
+            dscores *= probs
+            dscores *= scale
+            if q.requires_grad:
+                gq = dscores @ k.data
+            if k.requires_grad:
+                if gate is not None:
+                    dscores *= gate
+                gk = dscores.swapaxes(-1, -2) @ q.data
+        if v.requires_grad:
+            if gate is not None:
+                np.multiply(probs, gate, out=probs)
+            gv = probs.swapaxes(-1, -2) @ g
+        return gq, gk, gv
 
     return _maybe_record((q, k, v), out, backward)
 
 
-def cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray | None = None):
+def cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray | None = None,
+                  *masks: np.ndarray):
     """Mean negative log-likelihood over masked-in positions.
 
     logits: (..., V); targets: integer array of shape (...); mask: 0/1 array of
     the same shape (None = all positions count). Returns (loss, n) where n is
     the number of scored positions; when every position is masked out the loss
     is an un-tracked zero and n == 0.
+
+    Further masks score other positions of the same logits: the call then
+    returns one (loss, n) per mask, in order. Each loss is its own tape
+    entry, but they share one log-sum-exp and one softmax, computed once in
+    the forward for every mask's backward.
     """
     targets = np.asarray(targets)
     vocab = logits.shape[-1]
     if targets.shape != logits.shape[:-1]:
         raise ShapeError(f"cross_entropy: targets shape {targets.shape} vs logits {logits.shape}")
-    if mask is None:
-        m = np.ones(targets.shape, dtype=bool)
-    else:
-        m = np.asarray(mask).astype(bool)
+    ms = []
+    for one in (mask, *masks):
+        m = np.ones(targets.shape, dtype=bool) if one is None else np.asarray(one).astype(bool)
         if m.shape != targets.shape:
             raise ShapeError(f"cross_entropy: mask shape {m.shape} vs targets {targets.shape}")
-    n = int(m.sum())
-    if n == 0:
-        return _raw(np.zeros((), dtype=logits.dtype)), 0
-    if (targets[m] < 0).any() or (targets[m] >= vocab).any():
-        bad = targets[m][(targets[m] < 0) | (targets[m] >= vocab)][0]
-        raise IndexError(f"cross_entropy: target id {int(bad)} outside vocab of size {vocab}")
+        scored = targets[m]
+        bad = scored[(scored < 0) | (scored >= vocab)]
+        if bad.size:
+            raise IndexError(f"cross_entropy: target id {int(bad[0])} outside vocab of size {vocab}")
+        ms.append(m)
 
     x = logits.data
-    mx = x.max(axis=-1, keepdims=True)
-    lse = mx[..., 0] + np.log(np.exp(x - mx).sum(axis=-1))
-    safe_targets = np.where(m, targets, 0)
-    picked = np.take_along_axis(x, safe_targets[..., None], axis=-1)[..., 0]
-    nll = (lse - picked) * m
-    out = _raw(np.asarray(nll.sum() / n, dtype=logits.dtype))
-
-    def backward(g):
+    counts = [int(m.sum()) for m in ms]
+    if any(counts):
+        mx = x.max(axis=-1, keepdims=True)
         p = np.exp(x - mx)
-        p /= p.sum(axis=-1, keepdims=True)
-        onehot = np.zeros_like(p)
-        np.put_along_axis(onehot, safe_targets[..., None], 1.0, axis=-1)
-        d = (p - onehot) * m[..., None] * (g / n)
-        return (d.astype(x.dtype, copy=False),)
+        total = p.sum(axis=-1, keepdims=True)
+        lse = mx[..., 0] + np.log(total[..., 0])
+        p /= total  # the softmax, which every mask's backward reads
 
-    return _maybe_record((logits,), out, backward), n
+    def scored_loss(m, n):
+        if n == 0:
+            return _raw(np.zeros((), dtype=logits.dtype))
+        safe = np.where(m, targets, 0)[..., None]
+        picked = np.take_along_axis(x, safe, axis=-1)[..., 0]
+        nll = (lse - picked) * m
+        out = _raw(np.asarray(nll.sum() / n, dtype=logits.dtype))
+
+        def backward(g):
+            # (p - onehot(target)) * m * g / n, built as p * coef with the
+            # target column then overwritten by (p - 1) * coef
+            coef = (m * (g / n))[..., None]
+            d = p * coef
+            np.put_along_axis(d, safe, (np.take_along_axis(p, safe, axis=-1) - 1) * coef, axis=-1)
+            return (d.astype(x.dtype, copy=False),)
+
+        return _maybe_record((logits,), out, backward)
+
+    results = [(scored_loss(m, n), n) for m, n in zip(ms, counts)]
+    return results[0] if not masks else results
 
 
 # ---------------------------------------------------------------------------
@@ -480,11 +518,14 @@ def rms_norm(x: Tensor, scale: Tensor, eps: float) -> Tensor:
     out = _raw(xhat * scale.data)
 
     def backward(g):
-        gxhat = g * scale.data
-        dot = (gxhat * x.data).sum(axis=-1, keepdims=True)
-        gx = inv * (gxhat - x.data * (inv * inv / d) * dot)
-        gscale = (g * xhat).reshape(-1, d).sum(axis=0)
-        return gx.astype(x.dtype.type, copy=False), gscale.astype(x.dtype.type, copy=False)
+        gx = gscale = None
+        if x.requires_grad:
+            gxhat = g * scale.data
+            dot = (gxhat * x.data).sum(axis=-1, keepdims=True)
+            gx = (inv * (gxhat - x.data * (inv * inv / d) * dot)).astype(x.dtype.type, copy=False)
+        if scale.requires_grad:
+            gscale = (g * xhat).reshape(-1, d).sum(axis=0).astype(x.dtype.type, copy=False)
+        return gx, gscale
 
     return _maybe_record((x, scale), out, backward)
 

@@ -265,8 +265,8 @@ def midi_losses(model: Transformer, adapters: RoleAdapters, batch: RoundBatch,
     logits, _ = model.forward_segment(packed.tokens, packed.positions, packed.is_agent,
                                       adapters, mask=mask, live=live)
     targets, tmask = shifted_targets(packed.tokens, packed.loss_mask)
-    ls, n_s = rt.cross_entropy(logits, targets, tmask & packed.is_agent)
-    lu, n_u = rt.cross_entropy(logits, targets, tmask & ~packed.is_agent)
+    (ls, n_s), (lu, n_u) = rt.cross_entropy(logits, targets, tmask & packed.is_agent,
+                                            tmask & ~packed.is_agent)
     return ls, lu, n_s, n_u
 
 

@@ -257,6 +257,19 @@ class TestMatmul:
         b = rng.standard_normal((2, 4, 5))
         assert_grads_match(lambda ta, tb: (ta @ tb).sum(), [a, b])
 
+    def test_computes_no_gradient_for_a_frozen_operand(self):
+        rng = np.random.default_rng(9)
+        a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 2)))
+        g = rng.standard_normal((3, 2))
+        with Tape() as tape:
+            loss = ((a @ w) * Tensor(g)).sum()
+        g_a, g_w = tape.entries[0].backward_fn(g)
+        assert g_w is None
+        np.testing.assert_array_equal(g_a, g @ w.data.T)
+        grads = tape.backward(loss)
+        np.testing.assert_array_equal(grads[a], g @ w.data.T)
+
 
 # ---------------------------------------------------------------------------
 # softmax
@@ -365,6 +378,52 @@ class TestAttention:
         for name, e, a in zip("qkv", expected, got):
             np.testing.assert_allclose(a, e, atol=1e-12, err_msg=name)
 
+    def oracle_grads(self, q, k, v, mask, live, w):
+        """q, k, v gradients of (attention * w).sum() by the two-branch
+        oracle of test_live_pairs_match_two_branch_oracle."""
+        full = (self.B, self.H, self.S, self.T)
+        g = Tensor(np.broadcast_to(live[:, None], full).astype(np.float64))
+        not_g = Tensor(1.0 - g.data)
+        mask_t = Tensor(np.broadcast_to(mask[:, None], full).copy())
+
+        def oracle(tq, tk, tv):
+            kd, vd = tk.detach(), tv.detach()
+            scores = ((tq @ rt.swapaxes(tk, 2, 3)) * g + (tq @ rt.swapaxes(kd, 2, 3)) * not_g)
+            probs = rt.softmax(scores * 0.5 + mask_t, axis=-1)
+            out = (probs * g) @ tv + (probs * not_g) @ vd
+            return (out * Tensor(w)).sum()
+
+        return analytic_grads(oracle, [q, k, v], np.float64)
+
+    def test_frozen_key_gets_no_gradient(self):
+        # layer 0's keys read the frozen embedding through frozen weights
+        q, k, v, mask, w = self.operands(25)
+        live = np.random.default_rng(26).random((self.B, self.S, self.T)) < 0.5
+        expected_q, _, expected_v = self.oracle_grads(q, k, v, mask, live, w)
+        with Tape() as tape:
+            rt.attention(Tensor(q, requires_grad=True), Tensor(k),
+                         Tensor(v, requires_grad=True), mask, 0.5, live=live)
+        g_q, g_k, g_v = tape.entries[0].backward_fn(w)
+        assert g_k is None
+        np.testing.assert_allclose(g_q, expected_q, atol=1e-12)
+        np.testing.assert_allclose(g_v, expected_v, atol=1e-12)
+
+    def test_writes_into_no_input(self):
+        q, k, v, mask, w = self.operands(27)
+        live = np.random.default_rng(28).random((self.B, self.S, self.T)) < 0.5
+        inputs = (q, k, v, mask, live)
+        before = [a.copy() for a in inputs]
+        for a in inputs:
+            a.flags.writeable = False
+        tensors = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+        assert all(t.data is a for t, a in zip(tensors, inputs))
+        with Tape() as tape:
+            loss = (rt.attention(*tensors, mask, 0.5, live=live) * Tensor(w)).sum()
+        grads = tape.backward(loss)
+        assert all(t in grads for t in tensors)
+        for a, b in zip(inputs, before):
+            assert a.tobytes() == b.tobytes()
+
     def test_fully_masked_row_stays_finite(self):
         q, k, v, mask, w = self.operands(23)
         mask[0, 1, :] = rt.MASK_NEG
@@ -461,6 +520,65 @@ class TestCrossEntropy:
         np.testing.assert_allclose(g.sum(axis=-1), np.zeros(3), atol=1e-12)
 
 
+class TestCrossEntropyMasks:
+    """Several masks over one logits tensor against one call per mask."""
+
+    def operands(self, seed):
+        rng = np.random.default_rng(seed)
+        logits = rng.standard_normal((2, 5, 7)).astype(np.float32)
+        targets = rng.integers(0, 7, size=(2, 5))
+        first = rng.random((2, 5)) < 0.5
+        first[0, 0] = True
+        second = ~first & (rng.random((2, 5)) < 0.8)
+        second[1, 4] = True
+        return logits, targets, first, second
+
+    def losses_and_gradient(self, logits, targets, masks, joint, weights):
+        x = Tensor(logits, requires_grad=True)
+        with Tape() as tape:
+            if joint:
+                pairs = rt.cross_entropy(x, targets, *masks)
+            else:
+                pairs = [rt.cross_entropy(x, targets, m) for m in masks]
+            total = pairs[0][0] * weights[0]
+            for (loss, _), weight in zip(pairs[1:], weights[1:]):
+                if weight:
+                    total = total + loss * weight
+        grads = tape.backward(total)
+        return [(loss.data.tobytes(), loss.requires_grad, n) for loss, n in pairs], grads[x].tobytes()
+
+    def test_two_masks_equal_two_calls_bit_for_bit(self):
+        logits, targets, first, second = self.operands(40)
+        masks = (first, second)
+        assert (self.losses_and_gradient(logits, targets, masks, True, (1.0, 0.5))
+                == self.losses_and_gradient(logits, targets, masks, False, (1.0, 0.5)))
+
+    def test_empty_mask_gives_an_untracked_zero(self):
+        logits, targets, first, _ = self.operands(41)
+        masks = (first, np.zeros_like(first))
+        joint = self.losses_and_gradient(logits, targets, masks, True, (1.0, 0.5))
+        assert joint == self.losses_and_gradient(logits, targets, masks, False, (1.0, 0.5))
+        zero, tracked, n = joint[0][1]
+        assert n == 0 and not tracked
+        assert zero == np.zeros((), dtype=np.float32).tobytes()
+
+    def test_backprop_through_the_first_loss_only(self):
+        # the beta = 0 path: the second loss is computed but never reaches the total
+        logits, targets, first, second = self.operands(42)
+        masks = (first, second)
+        assert (self.losses_and_gradient(logits, targets, masks, True, (1.0, 0.0))
+                == self.losses_and_gradient(logits, targets, masks, False, (1.0, 0.0)))
+
+    def test_out_of_vocab_target_under_either_mask_rejected(self):
+        logits, targets, first, second = self.operands(43)
+        targets[0, 0] = 7  # scored by `first` only
+        with pytest.raises(IndexError):
+            rt.cross_entropy(Tensor(logits), targets, first, second)
+        with pytest.raises(IndexError):
+            rt.cross_entropy(Tensor(logits), targets, second, first)
+        rt.cross_entropy(Tensor(logits), targets, second, second)
+
+
 # ---------------------------------------------------------------------------
 # embedding / rms_norm / rotary positions
 # ---------------------------------------------------------------------------
@@ -510,6 +628,20 @@ class TestRmsNorm:
             lambda tx, ts: (rt.rms_norm(tx, ts, eps=1e-6) * Tensor(w.astype(tx.dtype))).sum(),
             [x, scale],
         )
+
+    def test_computes_no_gradient_for_a_frozen_scale(self):
+        rng = np.random.default_rng(19)
+        x = rng.standard_normal((2, 3, 6))
+        scale = rng.standard_normal(6)
+        w = rng.standard_normal((2, 3, 6))
+        g_x_live, _ = analytic_grads(lambda tx, ts: (rt.rms_norm(tx, ts, 1e-6) * Tensor(w)).sum(),
+                                     [x, scale], np.float64)
+        tx = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            rt.rms_norm(tx, Tensor(scale), 1e-6)
+        g_x, g_scale = tape.entries[0].backward_fn(w)
+        assert g_scale is None
+        np.testing.assert_array_equal(g_x, g_x_live)
 
 
 class TestRopeRotate:
