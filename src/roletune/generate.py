@@ -7,6 +7,12 @@ extends the memory token by token: every sampled token is forwarded as a
 one-slot segment and appended, so the next step attends to it through the
 cache instead of re-reading the whole context.
 
+Every segment runs on its speaker's merged weights (`Transformer.merge_role`):
+each decode call merges the deltas once, W + (alpha/r) * B @ A, and forwards
+without adapters, so a projection costs one product per token instead of
+three plus a scale and an add. The merge is built per call, never kept, so a
+training step between calls is always seen.
+
 Sampling filters logits in a fixed order — temperature, then top-k, then
 nucleus (top-p) — over the decodable candidate set: byte tokens plus the
 end-of-utterance marker. Structural ids (padding, sequence start, role
@@ -15,6 +21,7 @@ markers) are never sampled.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +29,7 @@ import numpy as np
 from .data import ByteTokenizer, DialogueSample
 from .errors import CapacityError, ConfigError
 from .memory import RoundMemory
-from .model import RoleAdapters, Transformer
+from .model import ROLES, RoleAdapters, Transformer
 from .rng import labeled_rng
 
 
@@ -56,11 +63,15 @@ class GenerationConfig:
         return cls(**d)
 
 
+@functools.lru_cache(maxsize=8)
 def candidate_ids(n_logits: int) -> np.ndarray:
     """Sampleable ids: the end-of-utterance marker plus every byte token.
-    Structural specials and ids past the byte range are excluded."""
+    Structural specials and ids past the byte range are excluded. Built once
+    per logits width; the array is shared, so it is read-only."""
     ids = [ByteTokenizer.EOS] + list(range(ByteTokenizer.OFFSET, ByteTokenizer.vocab_size))
-    return np.array([i for i in ids if i < n_logits], dtype=np.int64)
+    out = np.array([i for i in ids if i < n_logits], dtype=np.int64)
+    out.flags.writeable = False
+    return out
 
 
 def sample_from_logits(logits: np.ndarray, rng: np.random.Generator,
@@ -118,15 +129,16 @@ def prime_memory(model: Transformer, adapters: RoleAdapters,
     deltas, mirroring training.
     """
     c = model.config
+    merged = {role: model.merge_role(adapters, role) for role in ROLES}
     memory = RoundMemory.empty(1, c.n_layers, c.n_heads, c.head_dim)
     try:
-        _, memory = _forward_slots(model, adapters, memory,
+        _, memory = _forward_slots(merged["agent"], None, memory,
                                    tokenizer.encode_instruction(instruction),
                                    "agent", "instruction", "the instruction")
         for i, (role, text) in enumerate(turns):
-            if role not in ("user", "agent"):
+            if role not in ROLES:
                 raise ConfigError(f"turn {i + 1} has unknown role {role!r}")
-            _, memory = _forward_slots(model, adapters, memory,
+            _, memory = _forward_slots(merged[role], None, memory,
                                        tokenizer.encode_utterance(role, text),
                                        role, role, f"turn {i + 1}")
     except CapacityError as e:
@@ -138,9 +150,9 @@ def extend_memory(model: Transformer, adapters: RoleAdapters,
                   tokenizer: ByteTokenizer, memory: RoundMemory,
                   role: str, text: str) -> RoundMemory:
     """Append one finished utterance to a memory, run under its speaker."""
-    if role not in ("user", "agent"):
+    if role not in ROLES:
         raise ConfigError(f"unknown role {role!r}")
-    _, memory = _forward_slots(model, adapters, memory,
+    _, memory = _forward_slots(model.merge_role(adapters, role), None, memory,
                                tokenizer.encode_utterance(role, text),
                                role, role, f"the {role} turn")
     return memory
@@ -177,13 +189,14 @@ def generate_response(model: Transformer, adapters: RoleAdapters,
     """
     if rng is None:
         rng = labeled_rng(cfg.seed, "generate")
+    model = model.merge_role(adapters, role)
     tag = role
     ids = [tokenizer.role_token(role)]
     byte_ids: list[int] = []
     truncated = False
     exhausted = False
 
-    logits, memory = _forward_slots(model, adapters, memory, ids[:1], role,
+    logits, memory = _forward_slots(model, None, memory, ids[:1], role,
                                     tag, "the role marker")
     for step in range(cfg.max_new_tokens):
         token = sample_from_logits(logits, rng, cfg)
@@ -192,7 +205,7 @@ def generate_response(model: Transformer, adapters: RoleAdapters,
             truncated = True
         ids.append(token)
         try:
-            logits, memory = _forward_slots(model, adapters, memory, [token],
+            logits, memory = _forward_slots(model, None, memory, [token],
                                             role, tag, "generation")
         except CapacityError:
             if token != ByteTokenizer.EOS:

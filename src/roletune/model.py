@@ -116,6 +116,10 @@ class BaseWeights:
     def __init__(self, config: ModelConfig, params: dict[str, Tensor]):
         self.config = config
         self.params = params
+        for t in params.values():
+            # linear caches each frozen weight's transpose; an in-place write
+            # would leave it stale, so one raises instead
+            t.data.flags.writeable = False
 
     @classmethod
     def create(cls, config: ModelConfig, seed: int) -> "BaseWeights":
@@ -218,13 +222,7 @@ class RoleAdapters:
 
 def linear(x: Tensor, weight: Tensor) -> Tensor:
     """y = x @ W^T for x of shape (..., in) and W of shape (out, in)."""
-    if x.shape[-1] != weight.shape[-1]:
-        raise ShapeError(f"linear: input width {x.shape[-1]} vs weight in-width {weight.shape[-1]}")
-    lead = x.shape[:-1]
-    n = int(np.prod(lead))
-    flat = rt.reshape(x, (n, x.shape[-1]))
-    out = rt.matmul(flat, rt.swapaxes(weight, 0, 1))
-    return rt.reshape(out, lead + (weight.shape[0],))
+    return rt.linear(x, weight)
 
 
 def lora_linear(x: Tensor, base_w: Tensor, *deltas: LoraDelta | None,
@@ -267,6 +265,25 @@ class Transformer:
     @classmethod
     def create(cls, config: ModelConfig, seed: int) -> "Transformer":
         return cls(config, BaseWeights.create(config, seed))
+
+    def merge_role(self, adapters: RoleAdapters | None, role: str) -> "Transformer":
+        """This model with `role`'s deltas merged into its weights.
+
+        Each adapted projection becomes one weight, W + (alpha/r) * B @ A, so
+        running the result with adapters=None costs one product per
+        projection. Unadapted weights are this model's own tensors. The
+        merge reads the deltas' current values, so build it per call, not
+        once per adapter set: a training step would leave it stale.
+        """
+        if role not in ROLES:
+            raise ConfigError(f"unknown role {role!r}; expected one of {ROLES}")
+        if adapters is None:
+            return self
+        params = dict(self.base.params)
+        for (layer, proj), delta in adapters.deltas[role].items():
+            name = f"layer{layer}.w{proj}"
+            params[name] = Tensor(params[name].data + delta.scaling * (delta.B.data @ delta.A.data))
+        return Transformer(self.config, BaseWeights(self.config, params))
 
     def _split_heads(self, x: Tensor, batch: int, seq: int) -> Tensor:
         c = self.config

@@ -8,6 +8,11 @@ the trainable leaves. An op computes no gradient for an input that does not
 require grad: its backward returns None in that slot, so frozen weights and
 constants cost no backward work.
 
+`linear(x, w)` is x @ W^T as one op. It runs against a contiguous W^T, which
+a tensor that does not require grad builds once per data array and keeps.
+So a frozen weight must not be written in place; assign new data to `.data`
+instead (the model's base weights are read-only, so a write raises).
+
 Broadcasting is restricted to leading-axis repetition: two operands must have
 equal shapes, or one shape must be a suffix of the other. No size-1 stretching.
 """
@@ -36,7 +41,7 @@ def _active_tape():
 class Tensor:
     """A dense float array, optionally tracked for gradients."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "_transposed")
 
     def __init__(self, data, dtype=None, requires_grad=False):
         arr = np.asarray(data, dtype=dtype)
@@ -50,6 +55,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = requires_grad
         self.grad = None
+        self._transposed = None
 
     @property
     def shape(self):
@@ -71,6 +77,7 @@ class Tensor:
         out.data = self.data
         out.requires_grad = False
         out.grad = None
+        out._transposed = None
         return out
 
     def zero_grad(self):
@@ -209,6 +216,7 @@ def _raw(data) -> Tensor:
     out.data = np.asarray(data)  # normalizes numpy scalars to 0-d arrays
     out.requires_grad = False
     out.grad = None
+    out._transposed = None
     return out
 
 
@@ -349,6 +357,42 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 a.data.swapaxes(-1, -2) @ g if b.requires_grad else None)
 
     return _maybe_record((a, b), out, backward)
+
+
+def _contiguous_transpose(w: Tensor) -> np.ndarray:
+    """W^T as a C-contiguous array. A tensor that does not require grad
+    keeps it, keyed on its data array, so a frozen weight is transposed once
+    per array rather than once per call; assigning new data refreshes it."""
+    if w.requires_grad:
+        return np.ascontiguousarray(w.data.swapaxes(0, 1))
+    cached = w._transposed
+    if cached is None or cached[0] is not w.data:
+        cached = w._transposed = (w.data, np.ascontiguousarray(w.data.swapaxes(0, 1)))
+    return cached[1]
+
+
+def linear(x: Tensor, w: Tensor) -> Tensor:
+    """x @ W^T for x of shape (..., in) and W of shape (out, in), one op.
+
+    The product runs on x flattened to 2-D against a contiguous W^T, and the
+    gradients are dX = dY @ W and dW = (X^T @ dY)^T, so the numbers equal a
+    reshape, swapaxes, matmul and reshape chain bit for bit.
+    """
+    _check_dtype(x, w, "linear")
+    if w.data.ndim != 2 or x.shape[-1:] != w.shape[-1:]:
+        raise ShapeError(f"linear: input shape {x.shape} vs weight shape {w.shape}")
+    lead = x.shape[:-1]
+    flat = np.ascontiguousarray(x.data.reshape(-1, x.shape[-1]))
+    wt = _contiguous_transpose(w)
+    out = _raw((flat @ wt).reshape(lead + (w.shape[0],)))
+
+    def backward(g):
+        g = g.reshape(flat.shape[0], w.shape[0])
+        return ((g @ wt.swapaxes(-1, -2)).reshape(x.shape) if x.requires_grad else None,
+                np.ascontiguousarray((flat.swapaxes(-1, -2) @ g).swapaxes(0, 1))
+                if w.requires_grad else None)
+
+    return _maybe_record((x, w), out, backward)
 
 
 # ---------------------------------------------------------------------------

@@ -272,6 +272,64 @@ class TestGenerateResponse:
                 assert replay_choice == chosen[j]
 
 
+class TestMergedDecoding:
+    """Decoding runs each role on its merged weights, W + (alpha/r) B A."""
+
+    def segment(self):
+        ids = TOK.encode_instruction("persona kavo") + TOK.encode_utterance("user", "how why")
+        tokens = np.asarray(ids, dtype=np.int64)[None, :]
+        return tokens, np.arange(tokens.shape[1])[None, :]
+
+    @pytest.mark.parametrize("role", ["agent", "user"])
+    def test_fresh_deltas_merge_bit_exactly(self, role):
+        model = Transformer.create(CFG, 1)
+        adapters = RoleAdapters(CFG, rank=2, alpha=4.0, seed=1)  # B = 0
+        tokens, positions = self.segment()
+        merged, _ = model.merge_role(adapters, role).forward_segment(tokens, positions, role)
+        unmerged, _ = model.forward_segment(tokens, positions, role, adapters)
+        assert merged.data.tobytes() == unmerged.data.tobytes()
+
+    @pytest.mark.parametrize("role,adapted", [("agent", ("q", "v")), ("user", ("q",))])
+    def test_nonzero_deltas_merge_within_tolerance(self, role, adapted):
+        model, adapters = make_model(seed=2)
+        tokens, positions = self.segment()
+        role_model = model.merge_role(adapters, role)
+        merged, _ = role_model.forward_segment(tokens, positions, role)
+        unmerged, _ = model.forward_segment(tokens, positions, role, adapters)
+        base, _ = model.forward_segment(tokens, positions, role)
+        np.testing.assert_allclose(merged.data, unmerged.data, rtol=0, atol=1e-5)
+        assert np.abs(unmerged.data - base.data).max() > 1e-3
+        for name, t in model.base.params.items():
+            own = name.split(".")[-1] not in {"w" + p for p in adapted}
+            assert (role_model.base.params[name] is t) == own, name
+
+    def test_optimizer_step_reaches_the_next_reply(self):
+        from roletune.generate import _forward_slots
+        from roletune.training import AdamW
+
+        model = Transformer.create(CFG, 3)
+        adapters = RoleAdapters(CFG, rank=2, alpha=4.0, seed=3)
+        mem = prime_memory(model, adapters, TOK, "persona kavo", [("user", "how why")])
+        cfg = GenerationConfig(max_new_tokens=6, top_k=1, seed=0)
+        generate_response(model, adapters, TOK, mem, "agent", cfg)  # merges before the step
+
+        optimizer = AdamW(adapters.trainable_parameters())
+        for t in optimizer.params.values():
+            t.grad = np.ones_like(t.data)
+        optimizer.step(lr=0.05)
+
+        # the reply's stored slots equal an unmerged replay under the stepped
+        # deltas, and differ from one under the deltas before the step
+        reply, got = generate_response(model, adapters, TOK, mem, "agent", cfg)
+        _, want = _forward_slots(model, adapters, mem, reply.ids, "agent", "agent", "replay")
+        for (k, v), (k_want, v_want) in zip(got.layers, want.layers):
+            np.testing.assert_allclose(k, k_want, rtol=0, atol=1e-5)
+            np.testing.assert_allclose(v, v_want, rtol=0, atol=1e-5)
+        _, pre_step = _forward_slots(model, RoleAdapters(CFG, rank=2, alpha=4.0, seed=3),
+                                     mem, reply.ids, "agent", "agent", "replay")
+        assert np.abs(want.layers[0][1] - pre_step.layers[0][1]).max() > 1e-3
+
+
 class TestSelfChat:
     def test_zero_rounds(self):
         model, adapters = make_model(seed=7)

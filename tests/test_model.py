@@ -296,6 +296,14 @@ class TestForwardSegment:
         for k, v in model.base.named_arrays().items():
             np.testing.assert_array_equal(v, before[k])
 
+    def test_base_weights_are_read_only(self):
+        # linear caches a frozen weight's transpose; an in-place write must
+        # raise rather than leave it stale
+        model, _ = make_model()
+        for name, t in model.base.params.items():
+            with pytest.raises(ValueError):
+                t.data[0] = 1.0
+
 
 def _cast_to_f64(model, adapters):
     for t in model.base.params.values():

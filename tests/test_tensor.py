@@ -272,6 +272,98 @@ class TestMatmul:
 
 
 # ---------------------------------------------------------------------------
+# linear
+# ---------------------------------------------------------------------------
+
+def chained_linear(x: Tensor, w: Tensor) -> Tensor:
+    """x @ W^T as the reshape, swapaxes, matmul, reshape chain of tape ops."""
+    lead = x.shape[:-1]
+    flat = rt.reshape(x, (int(np.prod(lead)), x.shape[-1]))
+    return rt.reshape(rt.matmul(flat, rt.swapaxes(w, 0, 1)), lead + (w.shape[0],))
+
+
+class TestLinear:
+    def test_values(self):
+        x = np.array([[[1.0, 2.0]], [[3.0, 4.0]]])
+        w = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, -2.0]])
+        out = rt.linear(Tensor(x), Tensor(w))
+        assert out.shape == (2, 1, 3)
+        np.testing.assert_array_equal(out.data, x @ w.T)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ShapeError):
+            rt.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
+        with pytest.raises(ShapeError):
+            rt.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((1, 4, 3))))
+
+    def test_gradient(self):
+        rng = np.random.default_rng(10)
+        x = rng.standard_normal((2, 3, 4))
+        w = rng.standard_normal((5, 4))
+        c = rng.standard_normal((2, 3, 5))
+        assert_grads_match(lambda tx, tw: (rt.linear(tx, tw) * Tensor(c)).sum(), [x, w])
+
+    def test_computes_no_gradient_for_a_frozen_operand(self):
+        rng = np.random.default_rng(11)
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((2, 4)))
+        g = rng.standard_normal((3, 2))
+        with Tape() as tape:
+            rt.linear(x, w)
+        g_x, g_w = tape.entries[0].backward_fn(g)
+        assert g_w is None
+        np.testing.assert_array_equal(g_x, g @ w.data)
+        with Tape() as tape:
+            rt.linear(w, x.detach())
+        assert tape.entries == []
+
+    @pytest.mark.parametrize("x_shape,w_shape", [
+        ((4, 204, 64), (64, 64)), ((4, 204, 64), (8, 64)), ((4, 204, 64), (512, 64)),
+        ((1, 1, 64), (256, 64)),
+    ])
+    def test_equals_the_op_chain_bit_for_bit(self, x_shape, w_shape):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal(x_shape).astype(np.float32)
+        w = rng.standard_normal(w_shape).astype(np.float32)
+        g = rng.standard_normal(x_shape[:-1] + w_shape[:1]).astype(np.float32)
+        results = []
+        for op in (rt.linear, chained_linear):
+            tx, tw = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+            with Tape() as tape:
+                out = op(tx, tw)
+                loss = (out * Tensor(g)).sum()
+            grads = tape.backward(loss)
+            results.append([out.data, grads[tx], grads[tw]])
+        for mine, chain in zip(*results):
+            assert mine.shape == chain.shape and mine.tobytes() == chain.tobytes()
+        # a frozen weight takes the cached transpose: same bytes again
+        frozen = Tensor(w)
+        for _ in range(2):
+            assert rt.linear(Tensor(x), frozen).data.tobytes() == results[0][0].tobytes()
+
+    def test_frozen_weight_is_transposed_once_per_array(self):
+        rng = np.random.default_rng(13)
+        x = Tensor(rng.standard_normal((3, 4)))
+        w = Tensor(rng.standard_normal((2, 4)))
+        rt.linear(x, w)
+        cached = w._transposed
+        rt.linear(x, w)
+        assert w._transposed is cached
+        # new data, new transpose
+        w.data = rng.standard_normal((2, 4))
+        np.testing.assert_array_equal(rt.linear(x, w).data, x.data @ w.data.T)
+        assert w._transposed is not cached
+
+    def test_trainable_weight_is_transposed_per_call(self):
+        rng = np.random.default_rng(14)
+        x = Tensor(rng.standard_normal((3, 4)))
+        w = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
+        rt.linear(x, w)
+        w.data[0, 0] += 1.0  # an optimizer may write a trainable weight in place
+        np.testing.assert_array_equal(rt.linear(x, w).data, x.data @ w.data.T)
+
+
+# ---------------------------------------------------------------------------
 # softmax
 # ---------------------------------------------------------------------------
 
