@@ -3,9 +3,9 @@
 Layout: a 4-byte magic, a little-endian u32 format version, a little-endian
 u32 header length, a JSON header, then each array's raw little-endian bytes
 in header order. The header carries the model configuration, the adapter
-hyperparameters, an optional free-form metadata dict, and one entry per
-array with its name, shape, and dtype — enough to validate every byte on
-load before any weight is accepted.
+hyperparameters and the visibility regime they were trained in, an optional
+free-form metadata dict, and one entry per array with its name, shape, and
+dtype — enough to validate every byte on load before any weight is accepted.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ def save_checkpoint(path, model: Transformer, adapters: RoleAdapters,
             "rank": adapters.rank,
             "alpha": adapters.alpha,
             "targets": {role: list(projs) for role, projs in adapters.targets.items()},
+            **adapters.regime,
         },
         "arrays": [
             {"name": name, "shape": list(arr.shape), "dtype": str(arr.dtype)}
@@ -144,4 +145,9 @@ def load_checkpoint(path):
                 f"expected {tensor.shape}"
             )
         tensor.data = arrays[key].astype(tensor.data.dtype, copy=False)
+    for name, default in list(adapters.regime.items()):  # absent: the default regime
+        value = meta.get(name, default)
+        if not isinstance(value, bool):
+            raise CheckpointError(f"{path}: adapter field {name!r} is {value!r}, not a boolean")
+        adapters.regime[name] = value
     return model, adapters, extra

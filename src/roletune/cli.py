@@ -311,7 +311,7 @@ def cmd_eval(args) -> int:
 
 def merged_adapters(agent_ckpt, user_ckpt):
     """Agent deltas from one checkpoint, user deltas from another, over the
-    agent checkpoint's base. Requires matching shapes and hyperparameters."""
+    agent checkpoint's base. Requires matching shapes, hyperparameters, regime."""
     model, adapters, extra = load_checkpoint(agent_ckpt)
     if user_ckpt is None:
         return model, adapters, extra
@@ -322,6 +322,9 @@ def merged_adapters(agent_ckpt, user_ckpt):
             f"match agent checkpoint {model.config.to_dict()}")
     if (user_adapters.rank, user_adapters.alpha) != (adapters.rank, adapters.alpha):
         raise CheckpointError("user checkpoint adapter rank/alpha do not match agent checkpoint")
+    if user_adapters.regime != adapters.regime:
+        raise ConfigError(f"user checkpoint was trained under {user_adapters.regime}, "
+                          f"agent checkpoint under {adapters.regime}")
     adapters.deltas["user"] = user_adapters.deltas["user"]
     return model, adapters, extra
 
@@ -347,9 +350,9 @@ def cmd_chat_sim(args) -> int:
         inputs, out.parent, filename=f"{out.name}.manifest.json")
 
     exhausted = False
+    model, adapters, _ = merged_adapters(agent_ckpt, user_ckpt)
+    tokenizer = ByteTokenizer()
     if user_source == "stdin":
-        model, adapters, _ = load_checkpoint(agent_ckpt)
-        tokenizer = ByteTokenizer()
         rounds: list[tuple[str, str]] = []
         try:
             memory = prime_memory(model, adapters, tokenizer, args.instruction, [])
@@ -373,8 +376,6 @@ def cmd_chat_sim(args) -> int:
             exhausted = True
         sample = DialogueSample(args.instruction, rounds, None)
     else:
-        model, adapters, _ = merged_adapters(agent_ckpt, user_ckpt)
-        tokenizer = ByteTokenizer()
         sample, exhausted = self_chat(model, adapters, tokenizer,
                                       args.instruction, args.rounds, gen_cfg)
     save_corpus([sample], out)

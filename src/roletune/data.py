@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import CapacityError, ConfigError, CorpusError
 from .rng import labeled_rng
+from .tensor import MASK_NEG
 
 
 class ByteTokenizer:
@@ -244,6 +245,35 @@ def build_round_batches(samples: list[DialogueSample], tokenizer: ByteTokenizer,
             np.array([len(s.rounds) for s in chunk], dtype=np.int64), chunk,
         ))
     return batches
+
+
+def visibility_mask(q_segments, q_valid, q_is_agent, k_segments, k_valid, start=0,
+                    strict_cross_round: bool = False,
+                    user_sees_instruction: bool = True) -> np.ndarray:
+    """Additive attention mask (batch, queries, keys), for training's packed
+    grid (queries = keys) and for a decoded segment over [stored; new] alike.
+
+    Key columns run in dialogue order; segment ids (0 the instruction, then
+    one per utterance) never decrease along a row's valid columns. Query i
+    sits at column start + i and, if valid, sees the valid keys up to it:
+    with strict_cross_round only earlier segments', with user_sees_instruction
+    off not the instruction's for user queries. Every query sees itself.
+    """
+    cols = np.arange(k_valid.shape[-1])
+    own = np.arange(start, start + q_valid.shape[-1])[:, None]  # each query's column
+    visible = q_valid[..., :, None] & k_valid[..., None, :]
+    visible &= cols <= own
+    if strict_cross_round:
+        visible &= k_segments[..., None, :] < q_segments[..., :, None]
+    if not user_sees_instruction:
+        visible &= q_is_agent[..., :, None] | (k_segments[..., None, :] != 0)
+    visible |= cols == own
+    return np.where(visible, np.float32(0.0), np.float32(MASK_NEG))
+
+
+def position_ids(valid, start=0) -> np.ndarray:
+    """Ids continuing from start over each row's valid slots; 0 at padding."""
+    return np.where(valid, start + np.cumsum(valid, axis=1) - 1, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@
 Priming replays an instruction and any number of finished utterances through
 the model exactly as training laid them out (each utterance one segment, run
 under its speaker's deltas) and collects the key/value slots. Generation then
-extends the memory token by token: every sampled token is forwarded as a
-one-slot segment and appended, so the next step attends to it through the
-cache instead of re-reading the whole context.
+extends the memory token by token: every sampled token is forwarded as one
+more slot of its reply's segment and appended, so the next step attends to it
+through the cache instead of re-reading the whole context. Each slot sees
+what it saw in training: the memory applies training's visibility rule under
+the regime the adapters were trained in (`RoleAdapters.regime`).
 
 Every segment runs on its speaker's merged weights (`Transformer.merge_role`):
 each decode call merges the deltas once, W + (alpha/r) * B @ A, and forwards
@@ -100,23 +102,20 @@ def sample_from_logits(logits: np.ndarray, rng: np.random.Generator,
     return int(ids[rng.choice(ids.shape[0], p=probs)])
 
 
-def _forward_slots(model, adapters, memory: RoundMemory, token_ids, role: str,
-                   tag: str, what: str):
-    """Run one fully-valid batch=1 segment against the memory; returns
-    (final-position logits row, extended memory)."""
+def _forward_slots(model, regime: dict, memory: RoundMemory, token_ids, role: str,
+                   segment: int, what: str):
+    """Run one fully-valid batch=1 segment on `model`, merged for `role`,
+    against the memory under `regime`; returns (final logits row, memory')."""
     seg = np.asarray(token_ids, dtype=np.int64)[None, :]
     validity = np.ones(seg.shape, dtype=bool)
-    needed = int(memory.counts[0]) + seg.shape[1]
-    if needed > model.config.max_positions:
-        raise CapacityError(
-            f"{what} needs {needed} positions, exceeding the model's "
-            f"{model.config.max_positions}"
-        )
-    mask = memory.build_mask(validity)
     positions = memory.next_positions(validity)
-    logits, kv = model.forward_segment(seg, positions, role, adapters,
+    if positions[0, -1] >= model.config.max_positions:
+        raise CapacityError(f"{what} needs {positions[0, -1] + 1} positions, exceeding "
+                            f"the model's {model.config.max_positions}")
+    mask = memory.build_mask(validity, segment, role, **regime)
+    logits, kv = model.forward_segment(seg, positions, role, None,
                                        cache=memory.layers, mask=mask)
-    return logits.data[0, -1], memory.append(kv, validity, tag)
+    return logits.data[0, -1], memory.append(kv, validity, segment)
 
 
 def prime_memory(model: Transformer, adapters: RoleAdapters,
@@ -132,15 +131,15 @@ def prime_memory(model: Transformer, adapters: RoleAdapters,
     merged = {role: model.merge_role(adapters, role) for role in ROLES}
     memory = RoundMemory.empty(1, c.n_layers, c.n_heads, c.head_dim)
     try:
-        _, memory = _forward_slots(merged["agent"], None, memory,
+        _, memory = _forward_slots(merged["agent"], adapters.regime, memory,
                                    tokenizer.encode_instruction(instruction),
-                                   "agent", "instruction", "the instruction")
+                                   "agent", 0, "the instruction")
         for i, (role, text) in enumerate(turns):
             if role not in ROLES:
                 raise ConfigError(f"turn {i + 1} has unknown role {role!r}")
-            _, memory = _forward_slots(merged[role], None, memory,
+            _, memory = _forward_slots(merged[role], adapters.regime, memory,
                                        tokenizer.encode_utterance(role, text),
-                                       role, role, f"turn {i + 1}")
+                                       role, i + 1, f"turn {i + 1}")
     except CapacityError as e:
         raise CapacityError(f"priming failed: {e}") from e
     return memory
@@ -152,9 +151,9 @@ def extend_memory(model: Transformer, adapters: RoleAdapters,
     """Append one finished utterance to a memory, run under its speaker."""
     if role not in ROLES:
         raise ConfigError(f"unknown role {role!r}")
-    _, memory = _forward_slots(model.merge_role(adapters, role), None, memory,
+    _, memory = _forward_slots(model.merge_role(adapters, role), adapters.regime, memory,
                                tokenizer.encode_utterance(role, text),
-                               role, role, f"the {role} turn")
+                               role, memory.next_segment, f"the {role} turn")
     return memory
 
 
@@ -190,14 +189,14 @@ def generate_response(model: Transformer, adapters: RoleAdapters,
     if rng is None:
         rng = labeled_rng(cfg.seed, "generate")
     model = model.merge_role(adapters, role)
-    tag = role
+    segment = memory.next_segment  # every token of the reply continues it
     ids = [tokenizer.role_token(role)]
     byte_ids: list[int] = []
     truncated = False
     exhausted = False
 
-    logits, memory = _forward_slots(model, None, memory, ids[:1], role,
-                                    tag, "the role marker")
+    logits, memory = _forward_slots(model, adapters.regime, memory, ids[:1], role,
+                                    segment, "the role marker")
     for step in range(cfg.max_new_tokens):
         token = sample_from_logits(logits, rng, cfg)
         if token != ByteTokenizer.EOS and step == cfg.max_new_tokens - 1:
@@ -205,8 +204,8 @@ def generate_response(model: Transformer, adapters: RoleAdapters,
             truncated = True
         ids.append(token)
         try:
-            logits, memory = _forward_slots(model, None, memory, [token],
-                                            role, tag, "generation")
+            logits, memory = _forward_slots(model, adapters.regime, memory, [token],
+                                            role, segment, "generation")
         except CapacityError:
             if token != ByteTokenizer.EOS:
                 ids.pop()  # the token never entered memory; drop it

@@ -2,25 +2,22 @@
 
 A `RoundMemory` stores, per transformer layer, every previously computed
 (rotated) key/value slot for a batch of dialogues, together with which slots
-are real tokens versus padding and how many real tokens each sequence has
-produced so far. Appends are functional: they return a new memory and never
-touch the stored arrays, which are kept read-only. Cached arrays are plain
-numpy data, so no gradient flows back through them. The memory serves
-decoding; training runs each batch of dialogues as one packed pass and
-states the round-level regime as a mask (see `training.midi_losses`).
-
-Position ids continue across rounds over valid tokens only (0,1,2,... per
-sequence, no gaps), and attention masks grant visibility only to valid slots.
+are real tokens versus padding, how many real tokens each sequence has
+produced so far, and which dialogue segment each slot belongs to. Appends
+are functional: they return a new memory and never touch the stored arrays,
+which are kept read-only. Cached arrays are plain numpy data, so no gradient
+flows back through them. The memory serves decoding; what a new segment sees
+and where it sits come from the rule training uses (`data.visibility_mask`,
+`data.position_ids`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .data import position_ids, visibility_mask
 from .errors import ShapeError
-from .tensor import MASK_NEG, Tensor
-
-SLOT_TAGS = ("instruction", "user", "agent")
+from .tensor import Tensor
 
 
 def _lock(arr: np.ndarray) -> np.ndarray:
@@ -34,24 +31,25 @@ class RoundMemory:
 
     layers: list of (K, V) arrays shaped (batch, heads, stored, head_dim);
     validity: (batch, stored) booleans; counts: (batch,) valid-token totals
-    (also each sequence's next position id); tags: (stored,) small ints naming
-    which kind of segment produced each slot, shared across the batch.
+    (also each sequence's next position id); segments: (stored,) the
+    dialogue segment of each slot, shared across the batch — 0 is the
+    instruction, then one id per utterance in order.
     """
 
-    def __init__(self, layers, validity, counts, tags):
+    def __init__(self, layers, validity, counts, segments):
         # copies, so the caller's arrays can change freely
         self._hold([(np.array(k), np.array(v)) for k, v in layers], np.array(validity, dtype=bool),
-                   np.array(counts, dtype=np.int64), np.array(tags, dtype=np.int8))
+                   np.array(counts, dtype=np.int64), np.array(segments, dtype=np.int64))
 
-    def _hold(self, layers, validity, counts, tags):
+    def _hold(self, layers, validity, counts, segments):
         """Keep arrays built for this memory alone: made read-only, not copied."""
         self.layers = [(_lock(k), _lock(v)) for k, v in layers]
-        self.validity, self.counts, self.tags = _lock(validity), _lock(counts), _lock(tags)
+        self.validity, self.counts, self.segments = _lock(validity), _lock(counts), _lock(segments)
         b, m = self.validity.shape
         if self.counts.shape != (b,):
             raise ShapeError(f"counts shape {self.counts.shape} vs batch {b}")
-        if self.tags.shape != (m,):
-            raise ShapeError(f"tags shape {self.tags.shape} vs stored length {m}")
+        if self.segments.shape != (m,):
+            raise ShapeError(f"segments shape {self.segments.shape} vs stored length {m}")
         for k, v in self.layers:
             if k.shape != v.shape:
                 raise ShapeError(f"key/value shapes differ: {k.shape} vs {v.shape}")
@@ -67,7 +65,7 @@ class RoundMemory:
         layers = [(np.zeros(shape, dtype=dtype), np.zeros(shape, dtype=dtype))
                   for _ in range(n_layers)]
         return cls(layers, np.zeros((batch, 0), dtype=bool),
-                   np.zeros(batch, dtype=np.int64), np.zeros(0, dtype=np.int8))
+                   np.zeros(batch, dtype=np.int64), np.zeros(0, dtype=np.int64))
 
     @property
     def batch(self) -> int:
@@ -81,25 +79,35 @@ class RoundMemory:
     def n_layers(self) -> int:
         return len(self.layers)
 
-    def append(self, segment_kv, segment_validity, tag: str) -> "RoundMemory":
+    @property
+    def next_segment(self) -> int:
+        """The id of the next utterance: one past the last stored segment."""
+        return int(self.segments[-1]) + 1 if self.stored else 0
+
+    def _check(self, segment_validity) -> np.ndarray:
+        validity = np.asarray(segment_validity).astype(bool)
+        if validity.ndim != 2 or validity.shape[0] != self.batch:
+            raise ShapeError(f"segment validity {validity.shape} vs batch {self.batch}")
+        return validity
+
+    def append(self, segment_kv, segment_validity, segment: int) -> "RoundMemory":
         """New memory extended by one segment's K/V slots.
 
         segment_kv: per-layer (K, V) arrays or tensors (batch, heads, seg,
         head_dim) — tensors are detached here, so the stored slots carry no
         gradient;
-        segment_validity: (batch, seg) 0/1; tag: which segment kind produced
-        these slots (one of SLOT_TAGS).
+        segment_validity: (batch, seg) 0/1; segment: the dialogue segment
+        these slots belong to, never below the last stored one (a decoded
+        token continues its reply's segment).
         """
-        if tag not in SLOT_TAGS:
-            raise ShapeError(f"unknown slot tag {tag!r}; expected one of {SLOT_TAGS}")
+        if segment < (self.segments[-1] if self.stored else 0):
+            raise ShapeError(f"segment id {segment} precedes the stored segments")
         segment_kv = [(k.data if isinstance(k, Tensor) else k,
                        v.data if isinstance(v, Tensor) else v)
                       for k, v in segment_kv]
         if len(segment_kv) != self.n_layers:
             raise ShapeError(f"segment has {len(segment_kv)} layers, memory has {self.n_layers}")
-        validity = np.asarray(segment_validity).astype(bool)
-        if validity.ndim != 2 or validity.shape[0] != self.batch:
-            raise ShapeError(f"segment validity {validity.shape} vs batch {self.batch}")
+        validity = self._check(segment_validity)
         seg = validity.shape[1]
         layers = []
         for (k_old, v_old), (k_new, v_new) in zip(self.layers, segment_kv):
@@ -112,42 +120,21 @@ class RoundMemory:
             layers,
             np.concatenate([self.validity, validity], axis=1),
             self.counts + validity.sum(axis=1),
-            np.concatenate([self.tags, np.full(seg, SLOT_TAGS.index(tag), dtype=np.int8)]),
+            np.concatenate([self.segments, np.full(seg, segment, dtype=np.int64)]),
         )
         return out
 
     def next_positions(self, segment_validity) -> np.ndarray:
-        """Continuous position ids for an incoming segment.
+        """Position ids of an incoming segment (`data.position_ids`),
+        continuing from each sequence's valid-token count."""
+        return position_ids(self._check(segment_validity), self.counts[:, None])
 
-        Valid slots receive consecutive ids continuing from each sequence's
-        valid-token count; padding slots receive the sentinel id 0 (their
-        keys are masked out, so the value never matters).
-        """
-        validity = np.asarray(segment_validity).astype(bool)
-        if validity.ndim != 2 or validity.shape[0] != self.batch:
-            raise ShapeError(f"segment validity {validity.shape} vs batch {self.batch}")
-        offsets = np.cumsum(validity, axis=1) - 1
-        return np.where(validity, self.counts[:, None] + offsets, 0).astype(np.int64)
-
-    def build_mask(self, segment_validity) -> np.ndarray:
-        """Additive attention mask (batch, seg, stored+seg) for a new segment.
-
-        A valid query slot sees every valid cached slot plus the valid
-        current-segment slots at or before it. Every query additionally sees
-        its own slot, so no row is ever fully masked; padding queries see
-        only themselves and their outputs are never consumed downstream.
-        Visible = 0, blocked = a large negative number that underflows to
-        exactly zero weight.
-        """
-        validity = np.asarray(segment_validity).astype(bool)
-        if validity.ndim != 2 or validity.shape[0] != self.batch:
-            raise ShapeError(f"segment validity {validity.shape} vs batch {self.batch}")
-        b, s = validity.shape
-        q_valid = validity[:, :, None]
-        cached_vis = q_valid & self.validity[:, None, :]  # (b, s, stored)
-
-        causal = np.tri(s, dtype=bool)[None, :, :]
-        current_vis = (q_valid & validity[:, None, :] & causal) | np.eye(s, dtype=bool)[None, :, :]
-
-        visible = np.concatenate([cached_vis, current_vis], axis=2)
-        return np.where(visible, 0.0, MASK_NEG).astype(np.float32)
+    def build_mask(self, segment_validity, segment: int, role: str, **regime) -> np.ndarray:
+        """Additive attention mask (batch, seg, stored+seg) of an incoming
+        segment run under `role`: its rows of `data.visibility_mask` over the
+        stored slots plus its own, under the `regime` options."""
+        validity = self._check(segment_validity)
+        k_segments = np.concatenate([self.segments, np.full(validity.shape[1], segment)])
+        return visibility_mask(np.array([segment]), validity, np.array([role == "agent"]),
+                               k_segments, np.concatenate([self.validity, validity], axis=1),
+                               self.stored, **regime)

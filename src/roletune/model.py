@@ -174,6 +174,8 @@ class RoleAdapters:
     Each role adapts its own set of attention projections, keyed by
     (layer, projection). The defaults adapt query+value for the agent and
     query only for the user, so the user role can never reshape cached values.
+    `regime` holds the visibility options the deltas were trained under
+    (`training.train` sets it, checkpoints keep it); decoding runs under it.
     """
 
     def __init__(self, config: ModelConfig, rank: int = 8, alpha: float = 16.0,
@@ -189,6 +191,7 @@ class RoleAdapters:
         self.rank = rank
         self.alpha = float(alpha)
         self.targets = targets
+        self.regime = {"strict_cross_round": False, "user_sees_instruction": True}
         self.deltas: dict[str, dict[tuple[int, str], LoraDelta]] = {}
         d = config.d_model
         for role in ROLES:
@@ -266,7 +269,7 @@ class Transformer:
     def create(cls, config: ModelConfig, seed: int) -> "Transformer":
         return cls(config, BaseWeights.create(config, seed))
 
-    def merge_role(self, adapters: RoleAdapters | None, role: str) -> "Transformer":
+    def merge_role(self, adapters: RoleAdapters, role: str) -> "Transformer":
         """This model with `role`'s deltas merged into its weights.
 
         Each adapted projection becomes one weight, W + (alpha/r) * B @ A, so
@@ -277,8 +280,6 @@ class Transformer:
         """
         if role not in ROLES:
             raise ConfigError(f"unknown role {role!r}; expected one of {ROLES}")
-        if adapters is None:
-            return self
         params = dict(self.base.params)
         for (layer, proj), delta in adapters.deltas[role].items():
             name = f"layer{layer}.w{proj}"

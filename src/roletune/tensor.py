@@ -145,7 +145,6 @@ class Tape:
 
     def __init__(self):
         self.entries: list[_Entry] = []
-        self.entry_visits: list[int] = []
         self._produced: set[int] = set()
         self._spent = False
 
@@ -175,12 +174,10 @@ class Tape:
             raise RuntimeError("tape already consumed by a previous backward pass")
         self._spent = True
 
-        self.entry_visits = [0] * len(self.entries)
         loss.grad = np.ones((), dtype=loss.dtype)
         leaves: dict[Tensor, np.ndarray] = {}
         for i in range(len(self.entries) - 1, -1, -1):
             entry = self.entries[i]
-            self.entry_visits[i] += 1
             g = entry.output.grad
             if g is None:
                 continue  # not on a path to the loss

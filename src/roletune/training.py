@@ -22,6 +22,10 @@ max_positions by one rule (`data.fit_dialogue`), so all three modes see the
 same rounds. Losses are token means per role per batch. All randomness forks
 from the run seed by labeled streams, so e.g. midi and concat runs share base
 and agent initializations exactly.
+
+Masks and positions come from `data.visibility_mask` and `data.position_ids`,
+shared with decoding, which runs under the options `train` records on the
+adapters (`RoleAdapters.regime`).
 """
 
 from __future__ import annotations
@@ -41,11 +45,13 @@ from .data import (
     build_round_batches,
     fit_dialogue,
     make_split_samples,
+    position_ids,
+    visibility_mask,
 )
 from .errors import ConfigError
 from .model import LoraDelta, ModelConfig, RoleAdapters, Transformer
 from .rng import labeled_rng
-from .tensor import MASK_NEG, Tape, Tensor
+from .tensor import Tape, Tensor
 
 logger = logging.getLogger(__name__)
 
@@ -175,16 +181,11 @@ class PackedBatch:
 
     @property
     def positions(self) -> np.ndarray:
-        """Continuous over valid tokens, 0 at padding."""
-        return np.where(self.validity, np.cumsum(self.validity, axis=1) - 1, 0)
+        return position_ids(self.validity)
 
     @property
     def is_agent(self) -> np.ndarray:
         return self.segments % 2 == 0
-
-    @property
-    def is_instruction(self) -> np.ndarray:
-        return self.segments == 0
 
 
 def pack_round_batch(batch: RoundBatch) -> PackedBatch:
@@ -205,33 +206,12 @@ def pack_round_batch(batch: RoundBatch) -> PackedBatch:
     return PackedBatch(**packed)
 
 
-def visibility_mask(packed: PackedBatch, strict_cross_round: bool = False,
-                    user_sees_instruction: bool = True) -> np.ndarray:
-    """Additive attention mask (batch, width, width) of a packed grid.
-
-    A valid token sees every valid token of an earlier segment and, unless
-    strict_cross_round, the valid tokens of its own segment up to itself;
-    with user_sees_instruction off, user tokens do not see the instruction.
-    Every token also sees itself, so padding tokens see only themselves.
-    """
-    seg_q = packed.segments[:, :, None]
-    seg_k = packed.segments[:, None, :]
-    visible = seg_k < seg_q
-    if not strict_cross_round:
-        visible |= (seg_k == seg_q) & np.tri(packed.segments.shape[1], dtype=bool)
-    if not user_sees_instruction:
-        visible &= ~(~packed.is_agent[:, :, None] & packed.is_instruction[:, None, :])
-    visible &= packed.validity[:, :, None] & packed.validity[:, None, :]
-    visible |= np.eye(packed.segments.shape[1], dtype=bool)
-    return np.where(visible, 0.0, MASK_NEG).astype(np.float32)
-
-
 def live_pairs(packed: PackedBatch) -> np.ndarray:
     """The (query, key) pairs that carry key/value gradient in the
     round-level regime: a token's own segment, plus the instruction for
     agent tokens."""
     same = packed.segments[:, :, None] == packed.segments[:, None, :]
-    return same | (packed.is_agent[:, :, None] & packed.is_instruction[:, None, :])
+    return same | (packed.is_agent[:, :, None] & (packed.segments[:, None, :] == 0))
 
 
 def _without_gradient(adapters: RoleAdapters, role: str) -> RoleAdapters:
@@ -256,7 +236,9 @@ def midi_losses(model: Transformer, adapters: RoleAdapters, batch: RoundBatch,
     cfg.backprop_through_rounds keeps every read live for both roles.
     """
     packed = pack_round_batch(batch)
-    mask = visibility_mask(packed, cfg.strict_cross_round, cfg.user_sees_instruction)
+    mask = visibility_mask(packed.segments, packed.validity, packed.is_agent,
+                           packed.segments, packed.validity, 0,
+                           cfg.strict_cross_round, cfg.user_sees_instruction)
     live = None
     if not cfg.backprop_through_rounds:
         live = live_pairs(packed)
@@ -309,8 +291,10 @@ def split_pairs(samples: list[DialogueSample], tokenizer: ByteTokenizer):
 def causal_loss(model: Transformer, adapters: RoleAdapters, batch: PackedBatch):
     """Agent-span token-mean loss of a plain causal pass (agent deltas); a
     split grid is all segment 0, which counts as agent."""
+    mask = visibility_mask(batch.segments, batch.validity, batch.is_agent,
+                           batch.segments, batch.validity)
     logits, _ = model.forward_segment(batch.tokens, batch.positions, "agent", adapters,
-                                      mask=visibility_mask(batch))
+                                      mask=mask)
     targets, tmask = shifted_targets(batch.tokens, batch.loss_mask)
     return rt.cross_entropy(logits, targets, tmask & batch.is_agent)
 
@@ -347,6 +331,9 @@ def train(samples: list[DialogueSample], cfg: TrainConfig,
     model = model or Transformer.create(model_config, cfg.seed)
     adapters = adapters or RoleAdapters(model_config, rank=cfg.rank, alpha=cfg.alpha,
                                         seed=cfg.seed)
+    midi = cfg.mode == "midi"  # concat and split train under the plain causal mask
+    adapters.regime = {"strict_cross_round": midi and cfg.strict_cross_round,
+                       "user_sees_instruction": not midi or cfg.user_sees_instruction}
     tokenizer = ByteTokenizer()
     samples = [fit_dialogue(s, tokenizer, cfg.max_rounds, model_config.max_positions)
                for s in samples]

@@ -86,10 +86,10 @@ def run_segmented(model, adapters, segments, roles, validities=None):
     for idx, (seg, role) in enumerate(zip(segments, roles)):
         validity = np.ones_like(seg) if validities is None else validities[idx]
         positions = mem.next_positions(validity)
-        mask = mem.build_mask(validity)
+        mask = mem.build_mask(validity, idx, role)
         logits, kv = model.forward_segment(seg, positions, role, adapters,
                                            cache=mem.layers, mask=mask)
-        mem = mem.append(kv, validity, role)
+        mem = mem.append(kv, validity, idx)
         logits_out.append(logits.data)
         positions_out.append(positions)
     return logits_out, positions_out

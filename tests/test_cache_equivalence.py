@@ -4,13 +4,19 @@ Single role: any split of a token sequence into segments, run through the
 memory cache, must match one plain causal pass. Dual role: alternating-role
 segments must match the independent reference that switches deltas per token.
 Padding: inserting pad slots anywhere must leave valid-position logits alone.
+Regime: decoding a dialogue must match the training pass under every
+visibility option the adapters were trained with.
 """
 
 import numpy as np
 import pytest
 
+import roletune.generate as generate
+from roletune.data import (ByteTokenizer, DialogueSample, build_round_batches,
+                           visibility_mask)
 from roletune.memory import RoundMemory
 from roletune.model import ModelConfig, RoleAdapters, Transformer
+from roletune.training import pack_round_batch
 
 import _reference as ref
 
@@ -21,9 +27,9 @@ CFG = ModelConfig(d_model=16, n_layers=2, n_heads=2, d_ff=32, vocab_size=32,
                   max_positions=256, embed_std=0.25)
 
 
-def make_model(seed=0, dtype=np.float32):
-    model = Transformer.create(CFG, seed)
-    adapters = RoleAdapters(CFG, rank=2, alpha=4.0, seed=seed)
+def make_model(seed=0, dtype=np.float32, config=CFG):
+    model = Transformer.create(config, seed)
+    adapters = RoleAdapters(config, rank=2, alpha=4.0, seed=seed)
     rng = np.random.default_rng(seed + 100)
     for t in adapters.trainable_parameters().values():
         t.data = rng.normal(0.0, 0.3, size=t.shape).astype(np.float32)
@@ -43,10 +49,10 @@ def run_segmented(model, adapters, segments, roles, validities=None):
     for idx, (seg, role) in enumerate(zip(segments, roles)):
         validity = np.ones_like(seg) if validities is None else validities[idx]
         positions = mem.next_positions(validity)
-        mask = mem.build_mask(validity)
+        mask = mem.build_mask(validity, idx, role)
         logits, kv = model.forward_segment(seg, positions, role, adapters,
                                            cache=mem.layers, mask=mask)
-        mem = mem.append(kv, validity, role)
+        mem = mem.append(kv, validity, idx)
         out.append(logits.data)
     return out, mem
 
@@ -139,14 +145,14 @@ class TestDualRoleEquivalence:
         c = model.config
         mem = RoundMemory.empty(1, c.n_layers, c.n_heads, c.head_dim)
         parts = []
-        for seg, role, tag in ((instruction, "agent", "instruction"),
-                               (user, "user", "user"), (agent, "agent", "agent")):
+        for segment, (seg, role) in enumerate(((instruction, "agent"), (user, "user"),
+                                               (agent, "agent"))):
             validity = np.ones_like(seg)
             positions = mem.next_positions(validity)
-            mask = mem.build_mask(validity)
+            mask = mem.build_mask(validity, segment, role)
             logits, kv = model.forward_segment(seg, positions, role, adapters,
                                                cache=mem.layers, mask=mask)
-            mem = mem.append(kv, validity, tag)
+            mem = mem.append(kv, validity, segment)
             parts.append(logits.data)
 
         tokens = np.concatenate([instruction, user, agent], axis=1)
@@ -207,3 +213,48 @@ class TestPaddingNeutrality:
         solo_b, _ = run_segmented(model, adapters, [b[None, :]], ["agent"])
         np.testing.assert_allclose(batched[0][0, :5], solo_a[0][0], atol=1e-6)
         np.testing.assert_allclose(batched[0][1, :3], solo_b[0][0], atol=1e-6)
+
+
+class TestDecodingRegime:
+    """Priming plus token-by-token replies decode under the regime the
+    adapters carry, so they reproduce the logits of the training pass."""
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("user_sees_instruction", [True, False])
+    def test_decoded_logits_match_training_pass(self, monkeypatch, strict,
+                                                user_sees_instruction):
+        tok = ByteTokenizer()
+        config = ModelConfig(**{**CFG.to_dict(), "vocab_size": tok.vocab_size})
+        model, adapters = make_model(seed=12, config=config)  # nonzero deltas, both roles
+        adapters.regime["strict_cross_round"] = strict
+        adapters.regime["user_sees_instruction"] = user_sees_instruction
+        sample = DialogueSample("persona kavo", [("how why", "kavo sails"),
+                                                 ("tell me", "kavo maps far")])
+
+        # replies are forced to the sample's text; record the logits they see
+        forced, seen = [], []
+
+        def force(logits, rng, cfg):
+            seen.append(np.array(logits))
+            return forced.pop(0)
+
+        monkeypatch.setattr(generate, "sample_from_logits", force)
+        cfg = generate.GenerationConfig(max_new_tokens=32)
+        memory = generate.prime_memory(model, adapters, tok, sample.instruction,
+                                       list(zip(("user", "agent"), sample.rounds[0])))
+        for role, text in zip(("user", "agent"), sample.rounds[1]):
+            forced.extend(tok.encode(text) + [tok.EOS])
+            _, memory = generate.generate_response(model, adapters, tok, memory, role, cfg)
+
+        [batch] = build_round_batches([sample], tok, 1)
+        packed = pack_round_batch(batch)
+        mask = visibility_mask(packed.segments, packed.validity, packed.is_agent,
+                               packed.segments, packed.validity, 0, strict,
+                               user_sees_instruction)
+        full, _ = model.forward_segment(packed.tokens, packed.positions, packed.is_agent,
+                                        adapters, mask=mask)
+        # every slot of the two decoded replies but their closing markers
+        segments = packed.segments[0]
+        decoded = (segments >= 3) & (np.roll(segments, -1) == segments)
+        assert memory.segments.tolist() == segments.tolist()
+        np.testing.assert_allclose(np.stack(seen), full.data[0, decoded], rtol=0, atol=1e-5)

@@ -49,6 +49,29 @@ class TestRoundTrip:
         assert loaded.targets == {"agent": ("q", "v", "o"), "user": ("q",)}
         assert extra == {}
 
+    def test_training_regime_survives(self, tmp_path):
+        model, adapters = trained_like_pair()
+        adapters.regime = {"strict_cross_round": True, "user_sees_instruction": False}
+        path = tmp_path / "w.rtck"
+        save_checkpoint(path, model, adapters)
+        _, loaded, _ = load_checkpoint(path)
+        assert loaded.regime == {"strict_cross_round": True, "user_sees_instruction": False}
+
+    def test_checkpoint_without_regime_loads_the_default(self, tmp_path):
+        model, adapters = trained_like_pair()
+        adapters.regime = {"strict_cross_round": True, "user_sees_instruction": False}
+        path = tmp_path / "w.rtck"
+        save_checkpoint(path, model, adapters)
+        raw = path.read_bytes()
+        (header_len,) = struct.unpack_from("<I", raw, 8)
+        header = json.loads(raw[12:12 + header_len].decode("utf-8"))
+        del header["adapters"]["strict_cross_round"], header["adapters"]["user_sees_instruction"]
+        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        path.write_bytes(MAGIC + struct.pack("<I", VERSION)
+                         + struct.pack("<I", len(blob)) + blob + raw[12 + header_len:])
+        _, loaded, _ = load_checkpoint(path)
+        assert loaded.regime == {"strict_cross_round": False, "user_sees_instruction": True}
+
     def test_loaded_model_forwards_identically(self, tmp_path):
         model, adapters = trained_like_pair(seed=5)
         path = tmp_path / "w.rtck"
@@ -159,8 +182,11 @@ class TestRejection:
         ("entry 0 is malformed", lambda h: h.update(arrays=[1, 2])),
         ("'arrays' is not a list", lambda h: h.update(arrays=5)),
         ("no 'targets' entry", lambda h: h["adapters"].pop("targets")),
+        ("'user_sees_instruction' is 1, not a boolean",
+         lambda h: h["adapters"].update(user_sees_instruction=1)),
     ], ids=["no-dtype", "no-shape", "no-name", "unknown-dtype", "int-dtype", "string-shape",
-            "entries-not-objects", "arrays-not-a-list", "no-adapter-targets"])
+            "entries-not-objects", "arrays-not-a-list", "no-adapter-targets",
+            "non-boolean-regime"])
     def test_malformed_header_entry(self, tmp_path, defect, mutate):
         path = self.make_file(tmp_path)
         raw = path.read_bytes()

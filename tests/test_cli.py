@@ -13,6 +13,7 @@ import roletune.cli as cli
 from roletune.cli import main
 from roletune.checkpoint import load_checkpoint, save_checkpoint
 from roletune.data import ByteTokenizer, default_synth_spec, load_corpus
+from roletune.errors import ConfigError
 from roletune.model import ModelConfig, RoleAdapters, Transformer
 
 TINY_MODEL = {"d_model": 16, "n_layers": 2, "n_heads": 2, "d_ff": 32,
@@ -267,6 +268,23 @@ class TestChatSim:
         assert code == 0
         [sample] = load_corpus(out)
         assert len(sample.rounds) == 1
+
+
+    def test_user_checkpoint_from_another_regime_rejected(self, tmp_path):
+        config = ModelConfig(**TINY_MODEL)
+        model = Transformer.create(config, seed=0)
+        paths = []
+        for name, strict in (("agent", False), ("user", True)):
+            adapters = RoleAdapters(config, rank=2, alpha=4.0, seed=0)
+            adapters.regime["strict_cross_round"] = strict
+            paths.append(tmp_path / f"{name}.rtck")
+            save_checkpoint(paths[-1], model, adapters)
+        with pytest.raises(ConfigError, match="trained under"):
+            cli.merged_adapters(*paths)
+        out = tmp_path / "chat.jsonl"
+        assert main(["chat-sim", str(paths[0]), "--user", str(paths[1]),
+                     "--instruction", "persona xe", "--rounds", "1",
+                     "--out", str(out)]) == 1
 
 
 class TestCompare:

@@ -274,17 +274,17 @@ class TestBuildRoundBatches:
         [batch] = build_round_batches(samples, TOK, batch_size=4)
         grid = pack_round_batch(batch)
         mem = RoundMemory.empty(batch.batch, n_layers=1, n_heads=1, head_dim=2)
-        segs = [(batch.instruction, "instruction")] + [
-            (batch.rounds[t][role], role)
+        segs = [batch.instruction] + [
+            batch.rounds[t][role]
             for t in range(batch.n_rounds) for role in ("user", "agent")]
-        for i, (seg, tag) in enumerate(segs):
+        for i, seg in enumerate(segs):
             expected = mem.next_positions(seg.validity)
             for b in range(batch.batch):
                 mine = grid.validity[b] & (grid.segments[b] == i)
                 np.testing.assert_array_equal(grid.positions[b][mine],
                                               expected[b][seg.validity[b]])
             kv = [(np.zeros((batch.batch, 1, seg.tokens.shape[1], 2), dtype=np.float32),) * 2]
-            mem = mem.append(kv, seg.validity, tag)
+            mem = mem.append(kv, seg.validity, i)
 
 
 class TestConcatAndSplitLayouts:

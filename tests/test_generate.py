@@ -14,7 +14,6 @@ from roletune.generate import (
     sample_from_logits,
     self_chat,
 )
-from roletune.memory import SLOT_TAGS
 from roletune.model import ModelConfig, RoleAdapters, Transformer
 
 TOK = ByteTokenizer()
@@ -164,10 +163,8 @@ class TestPrimeMemory:
         assert mem.stored == total
         assert mem.counts.tolist() == [total]
         assert mem.validity.all()
-        expected_tags = ([SLOT_TAGS.index("instruction")] * len(inst)
-                         + [SLOT_TAGS.index("user")] * len(segs[0])
-                         + [SLOT_TAGS.index("agent")] * len(segs[1]))
-        assert mem.tags.tolist() == expected_tags
+        expected_segments = [0] * len(inst) + [1] * len(segs[0]) + [2] * len(segs[1])
+        assert mem.segments.tolist() == expected_segments
 
     def test_unknown_role_rejected(self):
         model, adapters = make_model()
@@ -184,7 +181,7 @@ class TestPrimeMemory:
         model, adapters = make_model()
         mem = prime_memory(model, adapters, TOK, "hello", [])
         assert mem.stored == len(TOK.encode_instruction("hello"))
-        assert (mem.tags == SLOT_TAGS.index("instruction")).all()
+        assert (mem.segments == 0).all()
 
 
 class TestGenerateResponse:
@@ -201,7 +198,8 @@ class TestGenerateResponse:
         assert len(out1.ids) <= 1 + cfg.max_new_tokens
         # the new memory holds exactly the forwarded utterance slots
         assert mem1.stored == mem.stored + len(out1.ids)
-        assert (mem1.tags[mem.stored:] == SLOT_TAGS.index("agent")).all()
+        # the whole reply is one segment, the one after the primed turns
+        assert (mem1.segments[mem.stored:] == 2).all()
 
     def test_text_matches_byte_ids(self):
         model, adapters = make_model(seed=4)
@@ -243,27 +241,28 @@ class TestGenerateResponse:
         turns = [("user", "tell me about")]
 
         mem = prime_memory(model, adapters, TOK, instruction, turns)
+        agent = model.merge_role(adapters, "agent")
         byte_candidates = candidate_ids(CFG.vocab_size)
         byte_candidates = byte_candidates[byte_candidates != ByteTokenizer.EOS]
 
         chosen = []
-        logits, rolling = _forward_slots(model, adapters, mem,
+        logits, rolling = _forward_slots(agent, adapters.regime, mem,
                                          [ByteTokenizer.ROLE_AGENT], "agent",
-                                         "agent", "seed token")
+                                         2, "seed token")
         incremental_logits = [logits.copy()]
         for _ in range(20):
             token = int(byte_candidates[np.argmax(
                 np.asarray(logits, dtype=np.float64)[byte_candidates])])
             chosen.append(token)
-            logits, rolling = _forward_slots(model, adapters, rolling, [token],
-                                             "agent", "agent", "generation")
+            logits, rolling = _forward_slots(agent, adapters.regime, rolling, [token],
+                                             "agent", 2, "generation")
             incremental_logits.append(logits.copy())
 
         for j in range(21):
             fresh = prime_memory(model, adapters, TOK, instruction, turns)
             segment = [ByteTokenizer.ROLE_AGENT] + chosen[:j]
-            full_logits, _ = _forward_slots(model, adapters, fresh, segment,
-                                            "agent", "agent", "replay")
+            full_logits, _ = _forward_slots(agent, adapters.regime, fresh, segment,
+                                            "agent", 2, "replay")
             np.testing.assert_allclose(full_logits, incremental_logits[j],
                                        rtol=1e-4, atol=1e-5)
             if j < 20:
@@ -303,8 +302,18 @@ class TestMergedDecoding:
             own = name.split(".")[-1] not in {"w" + p for p in adapted}
             assert (role_model.base.params[name] is t) == own, name
 
+    @staticmethod
+    def unmerged_replay(model, adapters, mem, ids, role):
+        """The memory after one forward of `ids` with the deltas unmerged."""
+        tokens = np.asarray(ids, dtype=np.int64)[None, :]
+        validity = np.ones(tokens.shape, dtype=bool)
+        segment = mem.next_segment
+        _, kv = model.forward_segment(tokens, mem.next_positions(validity), role, adapters,
+                                      cache=mem.layers,
+                                      mask=mem.build_mask(validity, segment, role))
+        return mem.append(kv, validity, segment)
+
     def test_optimizer_step_reaches_the_next_reply(self):
-        from roletune.generate import _forward_slots
         from roletune.training import AdamW
 
         model = Transformer.create(CFG, 3)
@@ -321,12 +330,12 @@ class TestMergedDecoding:
         # the reply's stored slots equal an unmerged replay under the stepped
         # deltas, and differ from one under the deltas before the step
         reply, got = generate_response(model, adapters, TOK, mem, "agent", cfg)
-        _, want = _forward_slots(model, adapters, mem, reply.ids, "agent", "agent", "replay")
+        want = self.unmerged_replay(model, adapters, mem, reply.ids, "agent")
         for (k, v), (k_want, v_want) in zip(got.layers, want.layers):
             np.testing.assert_allclose(k, k_want, rtol=0, atol=1e-5)
             np.testing.assert_allclose(v, v_want, rtol=0, atol=1e-5)
-        _, pre_step = _forward_slots(model, RoleAdapters(CFG, rank=2, alpha=4.0, seed=3),
-                                     mem, reply.ids, "agent", "agent", "replay")
+        pre_step = self.unmerged_replay(model, RoleAdapters(CFG, rank=2, alpha=4.0, seed=3),
+                                        mem, reply.ids, "agent")
         assert np.abs(want.layers[0][1] - pre_step.layers[0][1]).max() > 1e-3
 
 

@@ -27,7 +27,7 @@ class TestAppend:
         rng = np.random.default_rng(0)
         seg_kv = make_segment(rng)
         validity = np.array([[1, 1, 0], [1, 0, 0]])
-        mem = RoundMemory.empty(2, 2, 2, 4).append(seg_kv, validity, "user")
+        mem = RoundMemory.empty(2, 2, 2, 4).append(seg_kv, validity, 0)
         assert mem.stored == 3
         for (k, v), (ks, vs) in zip(mem.layers, seg_kv):
             np.testing.assert_array_equal(k, ks)
@@ -37,17 +37,17 @@ class TestAppend:
     def test_two_appends_lengths_additive(self):
         rng = np.random.default_rng(1)
         mem = RoundMemory.empty(2, 2, 2, 4)
-        mem = mem.append(make_segment(rng, seg=3), np.ones((2, 3)), "user")
-        mem = mem.append(make_segment(rng, seg=5), np.ones((2, 5)), "agent")
+        mem = mem.append(make_segment(rng, seg=3), np.ones((2, 3)), 0)
+        mem = mem.append(make_segment(rng, seg=5), np.ones((2, 5)), 1)
         assert mem.stored == 8
         np.testing.assert_array_equal(mem.counts, [8, 8])
 
     def test_append_is_functional_and_append_only(self):
         rng = np.random.default_rng(2)
         first_kv = make_segment(rng, seg=3)
-        mem1 = RoundMemory.empty(2, 2, 2, 4).append(first_kv, np.ones((2, 3)), "user")
+        mem1 = RoundMemory.empty(2, 2, 2, 4).append(first_kv, np.ones((2, 3)), 0)
         snapshot = [(k.copy(), v.copy()) for k, v in mem1.layers]
-        mem2 = mem1.append(make_segment(rng, seg=2), np.ones((2, 2)), "agent")
+        mem2 = mem1.append(make_segment(rng, seg=2), np.ones((2, 2)), 1)
         assert mem1.stored == 3 and mem2.stored == 5
         for (k, v), (ks, vs) in zip(mem1.layers, snapshot):
             np.testing.assert_array_equal(k, ks)
@@ -57,7 +57,7 @@ class TestAppend:
 
     def test_stored_arrays_are_read_only(self):
         rng = np.random.default_rng(3)
-        mem = RoundMemory.empty(2, 2, 2, 4).append(make_segment(rng), np.ones((2, 3)), "user")
+        mem = RoundMemory.empty(2, 2, 2, 4).append(make_segment(rng), np.ones((2, 3)), 0)
         with pytest.raises(ValueError):
             mem.layers[0][0][0, 0, 0, 0] = 1.0
         with pytest.raises(ValueError):
@@ -66,7 +66,7 @@ class TestAppend:
     def test_mutating_source_after_append_leaves_memory_unchanged(self):
         rng = np.random.default_rng(4)
         seg_kv = make_segment(rng)
-        mem = RoundMemory.empty(2, 2, 2, 4).append(seg_kv, np.ones((2, 3)), "user")
+        mem = RoundMemory.empty(2, 2, 2, 4).append(seg_kv, np.ones((2, 3)), 0)
         before = mem.layers[0][0].copy()
         seg_kv[0][0][:] = 0.0
         np.testing.assert_array_equal(mem.layers[0][0], before)
@@ -75,28 +75,35 @@ class TestAppend:
         rng = np.random.default_rng(5)
         mem = RoundMemory.empty(2, 2, 2, 4)
         with pytest.raises(ShapeError):
-            mem.append(make_segment(rng, batch=3), np.ones((3, 3)), "user")
+            mem.append(make_segment(rng, batch=3), np.ones((3, 3)), 0)
         with pytest.raises(ShapeError):
-            mem.append(make_segment(rng), np.ones((3, 3)), "user")
+            mem.append(make_segment(rng), np.ones((3, 3)), 0)
 
     def test_layer_count_mismatch_rejected(self):
         rng = np.random.default_rng(6)
         mem = RoundMemory.empty(2, 2, 2, 4)
         with pytest.raises(ShapeError):
-            mem.append(make_segment(rng, n_layers=3), np.ones((2, 3)), "user")
+            mem.append(make_segment(rng, n_layers=3), np.ones((2, 3)), 0)
 
-    def test_unknown_tag_rejected(self):
+    def test_segment_before_stored_rejected(self):
         rng = np.random.default_rng(7)
         mem = RoundMemory.empty(2, 2, 2, 4)
         with pytest.raises(ShapeError):
-            mem.append(make_segment(rng), np.ones((2, 3)), "narrator")
+            mem.append(make_segment(rng), np.ones((2, 3)), -1)
+        mem = mem.append(make_segment(rng), np.ones((2, 3)), 2)
+        with pytest.raises(ShapeError):
+            mem.append(make_segment(rng), np.ones((2, 3)), 1)
 
-    def test_tags_recorded_per_slot(self):
+    def test_segments_recorded_per_slot(self):
         rng = np.random.default_rng(8)
         mem = RoundMemory.empty(2, 2, 2, 4)
-        mem = mem.append(make_segment(rng, seg=2), np.ones((2, 2)), "instruction")
-        mem = mem.append(make_segment(rng, seg=3), np.ones((2, 3)), "user")
-        np.testing.assert_array_equal(mem.tags, [0, 0, 1, 1, 1])
+        mem = mem.append(make_segment(rng, seg=2), np.ones((2, 2)), 0)
+        mem = mem.append(make_segment(rng, seg=3), np.ones((2, 3)), 1)
+        np.testing.assert_array_equal(mem.segments, [0, 0, 1, 1, 1])
+        # a decoded token continues its reply's segment
+        mem = mem.append(make_segment(rng, seg=1), np.ones((2, 1)), 1)
+        np.testing.assert_array_equal(mem.segments, [0, 0, 1, 1, 1, 1])
+        assert mem.next_segment == 2
 
     def test_counts_must_match_bitmap(self):
         with pytest.raises(ShapeError):
@@ -115,7 +122,7 @@ class TestNextPositions:
     def test_continue_from_count_with_padding(self):
         rng = np.random.default_rng(9)
         mem = RoundMemory.empty(1, 2, 2, 4).append(
-            make_segment(rng, batch=1, seg=5), np.ones((1, 5)), "user"
+            make_segment(rng, batch=1, seg=5), np.ones((1, 5)), 0
         )
         assert mem.counts[0] == 5
         pos = mem.next_positions(np.array([[1, 0, 1]]))
@@ -125,7 +132,7 @@ class TestNextPositions:
     def test_per_sequence_counts_independent(self):
         rng = np.random.default_rng(10)
         mem = RoundMemory.empty(2, 2, 2, 4).append(
-            make_segment(rng, seg=3), np.array([[1, 1, 1], [1, 0, 0]]), "user"
+            make_segment(rng, seg=3), np.array([[1, 1, 1], [1, 0, 0]]), 0
         )
         pos = mem.next_positions(np.array([[1, 1], [1, 1]]))
         np.testing.assert_array_equal(pos, [[3, 4], [1, 2]])
@@ -142,7 +149,7 @@ class TestNextPositions:
             pos = mem.next_positions(validity)
             for b in range(3):
                 collected[b].extend(pos[b, validity[b].astype(bool)].tolist())
-            mem = mem.append(make_segment(rng, batch=3, seg=seg), validity, "user")
+            mem = mem.append(make_segment(rng, batch=3, seg=seg), validity, mem.next_segment)
         for b in range(3):
             np.testing.assert_array_equal(collected[b], np.arange(len(collected[b])))
             assert len(collected[b]) == mem.counts[b]
@@ -151,24 +158,24 @@ class TestNextPositions:
 class TestBuildMask:
     def test_empty_memory_no_padding_is_causal(self):
         mem = RoundMemory.empty(1, 1, 1, 2)
-        mask = mem.build_mask(np.ones((1, 4)))
+        mask = mem.build_mask(np.ones((1, 4)), mem.next_segment, "user")
         expected = np.where(np.tri(4, dtype=bool), 0.0, MASK_NEG)
         np.testing.assert_array_equal(mask[0], expected)
 
     def test_single_token_decode_sees_all_cache_plus_self(self):
         rng = np.random.default_rng(12)
         mem = RoundMemory.empty(1, 2, 2, 4).append(
-            make_segment(rng, batch=1, seg=4), np.ones((1, 4)), "user"
+            make_segment(rng, batch=1, seg=4), np.ones((1, 4)), 0
         )
-        mask = mem.build_mask(np.ones((1, 1)))
+        mask = mem.build_mask(np.ones((1, 1)), mem.next_segment, "user")
         np.testing.assert_array_equal(mask[0, 0], np.zeros(5))
 
     def test_cached_padding_slot_blocked(self):
         rng = np.random.default_rng(13)
         mem = RoundMemory.empty(2, 2, 2, 4).append(
-            make_segment(rng, seg=3), np.array([[1, 1, 0], [1, 0, 0]]), "user"
+            make_segment(rng, seg=3), np.array([[1, 1, 0], [1, 0, 0]]), 0
         )
-        mask = mem.build_mask(np.ones((2, 2)))
+        mask = mem.build_mask(np.ones((2, 2)), mem.next_segment, "user")
         assert (mask[0, :, 2] == MASK_NEG).all()      # sequence 0: slot 2 padded
         assert (mask[1, :, 1:3] == MASK_NEG).all()    # sequence 1: slots 1,2 padded
         assert (mask[0, :, :2] == 0.0).all()
@@ -177,9 +184,9 @@ class TestBuildMask:
         # push the mask through a real softmax on a 2-sequence toy batch
         rng = np.random.default_rng(14)
         mem = RoundMemory.empty(2, 2, 2, 4).append(
-            make_segment(rng, seg=3), np.array([[1, 0, 1], [0, 1, 1]]), "user"
+            make_segment(rng, seg=3), np.array([[1, 0, 1], [0, 1, 1]]), 0
         )
-        mask = mem.build_mask(np.ones((2, 2)))
+        mask = mem.build_mask(np.ones((2, 2)), mem.next_segment, "user")
         scores = rng.normal(size=(2, 2, 5)).astype(np.float32) + mask
         e = np.exp(scores - scores.max(axis=-1, keepdims=True))
         weights = e / e.sum(axis=-1, keepdims=True)
@@ -189,7 +196,7 @@ class TestBuildMask:
 
     def test_current_segment_padding_blocked_for_other_queries(self):
         mem = RoundMemory.empty(1, 1, 1, 2)
-        mask = mem.build_mask(np.array([[1, 0, 1]]))
+        mask = mem.build_mask(np.array([[1, 0, 1]]), mem.next_segment, "user")
         assert mask[0, 2, 1] == MASK_NEG  # valid query never sees the pad slot
         assert mask[0, 2, 0] == 0.0
         assert mask[0, 2, 2] == 0.0
@@ -197,15 +204,15 @@ class TestBuildMask:
     def test_padding_query_sees_only_itself(self):
         rng = np.random.default_rng(15)
         mem = RoundMemory.empty(1, 2, 2, 4).append(
-            make_segment(rng, batch=1, seg=2), np.ones((1, 2)), "user"
+            make_segment(rng, batch=1, seg=2), np.ones((1, 2)), 0
         )
-        mask = mem.build_mask(np.array([[1, 0]]))
+        mask = mem.build_mask(np.array([[1, 0]]), mem.next_segment, "user")
         np.testing.assert_array_equal(mask[0, 1], [MASK_NEG, MASK_NEG, MASK_NEG, 0.0])
 
     def test_mask_values_are_binary(self):
         rng = np.random.default_rng(18)
         mem = RoundMemory.empty(2, 2, 2, 4).append(
-            make_segment(rng, seg=3), np.array([[1, 1, 0], [1, 0, 0]]), "agent"
+            make_segment(rng, seg=3), np.array([[1, 1, 0], [1, 0, 0]]), 0
         )
-        mask = mem.build_mask(np.array([[1, 1], [1, 0]]))
+        mask = mem.build_mask(np.array([[1, 1], [1, 0]]), mem.next_segment, "user")
         assert set(np.unique(mask)) <= {0.0, np.float32(MASK_NEG)}

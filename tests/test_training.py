@@ -482,6 +482,15 @@ class TestTrainLoop:
             assert set(rec) == {"step", "L_s", "L_u", "L_total", "lr"}
         assert r1.loss_log == r2.loss_log
 
+    @pytest.mark.parametrize("mode", ["midi", "concat"])
+    def test_adapters_carry_the_trained_regime(self, mode):
+        # decoding reads the regime off the adapters; concat ignores the options
+        cfg = TrainConfig(mode=mode, batch_size=6, epochs=1, strict_cross_round=True,
+                          user_sees_instruction=False)
+        adapters = train(self.corpus(), cfg, model_config=SMALL).adapters
+        midi = mode == "midi"
+        assert adapters.regime == {"strict_cross_round": midi, "user_sees_instruction": not midi}
+
     def test_base_weights_bitwise_frozen(self):
         cfg = TrainConfig(mode="midi", batch_size=3, epochs=2, lr=1e-2, seed=5)
         model = Transformer.create(SMALL, cfg.seed)
