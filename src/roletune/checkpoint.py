@@ -91,6 +91,8 @@ def load_checkpoint(path):
         if not isinstance(entries, list):
             raise TypeError("'arrays' is not a list")
         extra = header.get("extra", {})
+        if not isinstance(extra, dict):
+            raise TypeError("'extra' is not an object")
     except KeyError as e:
         raise CheckpointError(f"{path}: malformed header (no {e} entry)") from e
     except (AttributeError, TypeError, ValueError) as e:

@@ -71,17 +71,21 @@ class DialogueSample:
     target: dict | None = None
 
     def validate(self):
+        if not isinstance(self.instruction, str):
+            raise CorpusError(f"instruction {self.instruction!r} is not a string")
         if not self.rounds:
             raise CorpusError("dialogue has no rounds")
         for t, (user, agent) in enumerate(self.rounds):
             if not user or not agent:
                 raise CorpusError(f"round {t + 1} has an empty utterance")
         if self.target is not None:
+            if not isinstance(self.target, dict):
+                raise CorpusError(f"target annotation {self.target!r} is not an object")
             if "topic" not in self.target:
                 raise CorpusError("target annotation lacks a topic")
             rnd = self.target.get("round")
-            if rnd is not None and not 1 <= rnd <= len(self.rounds):
-                raise CorpusError(f"target round {rnd} outside 1..{len(self.rounds)}")
+            if rnd is not None and (type(rnd) is not int or not 1 <= rnd <= len(self.rounds)):
+                raise CorpusError(f"target round {rnd!r} is not an integer in 1..{len(self.rounds)}")
         return self
 
     def target_round(self) -> int | None:
@@ -112,6 +116,8 @@ class DialogueSample:
 
     @classmethod
     def from_record(cls, record: dict) -> "DialogueSample":
+        if not isinstance(record, dict):
+            raise CorpusError(f"record is a JSON {type(record).__name__}, not an object")
         turns = record.get("turns")
         if not isinstance(turns, list) or not turns:
             raise CorpusError("record has no turns")
@@ -120,6 +126,8 @@ class DialogueSample:
         rounds = []
         for i, turn in enumerate(turns):
             expected = "user" if i % 2 == 0 else "assistant"
+            if not isinstance(turn, dict):
+                raise CorpusError(f"turn {i + 1} is not an object")
             role = turn.get("role")
             if role != expected:
                 raise CorpusError(f"turn {i + 1} has role {role!r}, expected {expected!r}")

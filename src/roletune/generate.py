@@ -5,9 +5,11 @@ the model exactly as training laid them out (each utterance one segment, run
 under its speaker's deltas) and collects the key/value slots. Generation then
 extends the memory token by token: every sampled token is forwarded as one
 more slot of its reply's segment and appended, so the next step attends to it
-through the cache instead of re-reading the whole context. Each slot sees
-what it saw in training: the memory applies training's visibility rule under
-the regime the adapters were trained in (`RoleAdapters.regime`).
+through the cache instead of re-reading the whole context; the new memory
+keeps the K/V that forward attended over, so the store is copied once per
+token and the memory it grew from is left whole. Each slot sees what it saw
+in training: the memory applies training's visibility rule under the regime
+the adapters were trained in (`RoleAdapters.regime`).
 
 Every segment runs on its speaker's merged weights (`Transformer.merge_role`):
 each decode call merges the deltas once, W + (alpha/r) * B @ A, and forwards

@@ -4,11 +4,12 @@ A `RoundMemory` stores, per transformer layer, every previously computed
 (rotated) key/value slot for a batch of dialogues, together with which slots
 are real tokens versus padding, how many real tokens each sequence has
 produced so far, and which dialogue segment each slot belongs to. Appends
-are functional: they return a new memory and never touch the stored arrays,
-which are kept read-only. Cached arrays are plain numpy data, so no gradient
-flows back through them. The memory serves decoding; what a new segment sees
-and where it sits come from the rule training uses (`data.visibility_mask`,
-`data.position_ids`).
+are functional: a new memory keeps the K/V `Transformer.forward_segment`
+attended over (the stored slots, then the new segment's), and an older
+memory's arrays, read-only, are never touched. Cached arrays are plain numpy
+data, so no gradient flows back through them. The memory serves decoding;
+what a new segment sees and where it sits come from the rule training uses
+(`data.visibility_mask`, `data.position_ids`).
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from .errors import ShapeError
 from .tensor import Tensor
 
 
-def _lock(arr: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(arr)
+def _lock(arr, dtype=None) -> np.ndarray:
+    out = np.ascontiguousarray(arr, dtype=dtype)
     out.flags.writeable = False
     return out
 
@@ -33,18 +34,14 @@ class RoundMemory:
     validity: (batch, stored) booleans; counts: (batch,) valid-token totals
     (also each sequence's next position id); segments: (stored,) the
     dialogue segment of each slot, shared across the batch — 0 is the
-    instruction, then one id per utterance in order.
+    instruction, then one id per utterance in order. The memory takes
+    ownership of the arrays it is given: they are made read-only, not copied.
     """
 
     def __init__(self, layers, validity, counts, segments):
-        # copies, so the caller's arrays can change freely
-        self._hold([(np.array(k), np.array(v)) for k, v in layers], np.array(validity, dtype=bool),
-                   np.array(counts, dtype=np.int64), np.array(segments, dtype=np.int64))
-
-    def _hold(self, layers, validity, counts, segments):
-        """Keep arrays built for this memory alone: made read-only, not copied."""
         self.layers = [(_lock(k), _lock(v)) for k, v in layers]
-        self.validity, self.counts, self.segments = _lock(validity), _lock(counts), _lock(segments)
+        self.validity = _lock(validity, bool)
+        self.counts, self.segments = _lock(counts, np.int64), _lock(segments, np.int64)
         b, m = self.validity.shape
         if self.counts.shape != (b,):
             raise ShapeError(f"counts shape {self.counts.shape} vs batch {b}")
@@ -61,10 +58,8 @@ class RoundMemory:
     @classmethod
     def empty(cls, batch: int, n_layers: int, n_heads: int, head_dim: int,
               dtype=np.float32) -> "RoundMemory":
-        shape = (batch, n_heads, 0, head_dim)
-        layers = [(np.zeros(shape, dtype=dtype), np.zeros(shape, dtype=dtype))
-                  for _ in range(n_layers)]
-        return cls(layers, np.zeros((batch, 0), dtype=bool),
+        no_slots = np.zeros((batch, n_heads, 0, head_dim), dtype=dtype)  # read-only: shareable
+        return cls([(no_slots, no_slots)] * n_layers, np.zeros((batch, 0), dtype=bool),
                    np.zeros(batch, dtype=np.int64), np.zeros(0, dtype=np.int64))
 
     @property
@@ -90,39 +85,29 @@ class RoundMemory:
             raise ShapeError(f"segment validity {validity.shape} vs batch {self.batch}")
         return validity
 
-    def append(self, segment_kv, segment_validity, segment: int) -> "RoundMemory":
-        """New memory extended by one segment's K/V slots.
+    def append(self, kv, segment_validity, segment: int) -> "RoundMemory":
+        """New memory extended by one segment's slots.
 
-        segment_kv: per-layer (K, V) arrays or tensors (batch, heads, seg,
-        head_dim) — tensors are detached here, so the stored slots carry no
-        gradient;
+        kv: per-layer (K, V) arrays or tensors (batch, heads, stored+seg,
+        head_dim), this memory's slots then the segment's, as
+        `Transformer.forward_segment` returns them; the new memory owns them
+        and detaches tensors, so the stored slots carry no gradient.
         segment_validity: (batch, seg) 0/1; segment: the dialogue segment
         these slots belong to, never below the last stored one (a decoded
         token continues its reply's segment).
         """
         if segment < (self.segments[-1] if self.stored else 0):
             raise ShapeError(f"segment id {segment} precedes the stored segments")
-        segment_kv = [(k.data if isinstance(k, Tensor) else k,
-                       v.data if isinstance(v, Tensor) else v)
-                      for k, v in segment_kv]
-        if len(segment_kv) != self.n_layers:
-            raise ShapeError(f"segment has {len(segment_kv)} layers, memory has {self.n_layers}")
+        if len(kv) != self.n_layers:
+            raise ShapeError(f"segment has {len(kv)} layers, memory has {self.n_layers}")
         validity = self._check(segment_validity)
-        seg = validity.shape[1]
-        layers = []
-        for (k_old, v_old), (k_new, v_new) in zip(self.layers, segment_kv):
-            if k_new.shape[0] != self.batch or k_new.shape[2] != seg:
-                raise ShapeError(f"segment K/V shape {k_new.shape} vs batch {self.batch}, seg {seg}")
-            layers.append((np.concatenate([k_old, k_new], axis=2),
-                           np.concatenate([v_old, v_new], axis=2)))
-        out = RoundMemory.__new__(RoundMemory)
-        out._hold(
-            layers,
+        return RoundMemory(
+            [(k.data if isinstance(k, Tensor) else k, v.data if isinstance(v, Tensor) else v)
+             for k, v in kv],
             np.concatenate([self.validity, validity], axis=1),
             self.counts + validity.sum(axis=1),
-            np.concatenate([self.segments, np.full(seg, segment, dtype=np.int64)]),
+            np.concatenate([self.segments, np.full(validity.shape[1], segment, dtype=np.int64)]),
         )
-        return out
 
     def next_positions(self, segment_validity) -> np.ndarray:
         """Position ids of an incoming segment (`data.position_ids`),

@@ -6,12 +6,12 @@ block structure is pre-RMS-norm attention + SiLU feed-forward with rotary
 position embeddings and an LM head tied to the token embedding.
 
 `forward_segment` runs one grid of tokens, optionally against a store of
-previously cached key/value slots, and returns the logits plus the grid's
-freshly computed K/V so a decoder can extend its cache. Each token runs under
-one role's deltas: the whole grid under one role, or a per-token role grid,
-which is how training runs a whole dialogue in one pass. Which cached or
-earlier slots a token reads is the caller's mask; which of those reads carry
-key/value gradient is the caller's live grid.
+previously cached key/value slots, and returns the logits plus the K/V it
+attended over, the cached slots then the grid's, which a decoder keeps as its
+next cache. Each token runs under one role's deltas: the whole grid under one
+role, or a per-token role grid, which is how training runs a whole dialogue in
+one pass. Which cached or earlier slots a token reads is the caller's mask;
+which of those reads carry key/value gradient is the caller's live grid.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as rt
+from .data import visibility_mask
 from .errors import CapacityError, ConfigError, ShapeError
 from .rng import labeled_rng
 from .tensor import Tensor
@@ -309,16 +310,17 @@ class Transformer:
         heads, stored, head_dim), already rotated; they are plain data and
         never receive gradient. mask: additive attention mask (batch, seg,
         stored+seg) with 0 for visible and a large negative value for
-        blocked slots. With no cache and no mask a causal mask over the
-        segment is used.
+        blocked slots. With no cache and no mask the grid is read as one
+        all-valid segment under `data.visibility_mask`, which is causal.
 
         live: optional (batch, seg, stored+seg) boolean grid of the (query,
         key) pairs whose key/value gradient flows; on the other pairs the
         keys and values act as detached. None keeps every pair live.
 
-        Returns (logits Tensor (batch, seg, vocab), new_kv): a per-layer list
-        of live (K, V) tensors (batch, heads, seg, head_dim); storing them in
-        a round memory detaches them.
+        Returns (logits Tensor (batch, seg, vocab), kv): a per-layer list of
+        the live (K, V) tensors attended over, (batch, heads, stored+seg,
+        head_dim), the cache's slots first and then the grid's; storing them
+        in a round memory detaches them.
         """
         c = self.config
         tokens = np.asarray(tokens)
@@ -342,15 +344,16 @@ class Transformer:
             if len(cache) != c.n_layers:
                 raise ShapeError(f"cache has {len(cache)} layers, model has {c.n_layers}")
             stored = cache[0][0].shape[2]
-        total = stored + seg
 
         params = self.base.params
         dtype = params["embed"].dtype
         if mask is None:
             if stored:
                 raise ShapeError("a mask is required when attending over cached slots")
-            mask = np.where(np.tri(seg, dtype=bool), 0.0, rt.MASK_NEG)
-            mask = np.broadcast_to(mask, (batch, seg, total))
+            valid = np.ones(seg, dtype=bool)  # one all-valid segment: the rule is causal
+            segments = np.zeros(seg, dtype=np.int64)
+            mask = np.broadcast_to(visibility_mask(segments, valid, valid, segments, valid),
+                                   (batch, seg, seg))
 
         roles, gates = [role], None
         if not isinstance(role, str):  # per-token routing: one 0/1 row gate per role
@@ -360,7 +363,7 @@ class Transformer:
                      for rows in (is_agent, ~is_agent)]
 
         h = rt.embedding(params["embed"], tokens)
-        new_kv: list[tuple[np.ndarray, np.ndarray]] = []
+        kv: list[tuple[Tensor, Tensor]] = []
         scale = 1.0 / math.sqrt(c.head_dim)
 
         for i in range(c.n_layers):
@@ -374,11 +377,10 @@ class Transformer:
             q = rope_apply(self._split_heads(proj("q", x), batch, seg), positions, c.rope_base)
             k = rope_apply(self._split_heads(proj("k", x), batch, seg), positions, c.rope_base)
             v = self._split_heads(proj("v", x), batch, seg)
-            new_kv.append((k, v))
-
             if stored:
                 k = rt.concat([Tensor(cache[i][0]), k], axis=2)
                 v = rt.concat([Tensor(cache[i][1]), v], axis=2)
+            kv.append((k, v))
 
             ctx = rt.attention(q, k, v, mask, scale, live=live)
             h = h + proj("o", self._merge_heads(ctx, batch, seg))
@@ -388,4 +390,4 @@ class Transformer:
 
         h = rt.rms_norm(h, params["norm_out"], c.norm_epsilon)
         logits = linear(h, params["embed"])  # tied LM head
-        return logits, new_kv
+        return logits, kv

@@ -184,9 +184,10 @@ class TestRejection:
         ("no 'targets' entry", lambda h: h["adapters"].pop("targets")),
         ("'user_sees_instruction' is 1, not a boolean",
          lambda h: h["adapters"].update(user_sees_instruction=1)),
+        ("'extra' is not an object", lambda h: h.update(extra=[1, 2])),
     ], ids=["no-dtype", "no-shape", "no-name", "unknown-dtype", "int-dtype", "string-shape",
             "entries-not-objects", "arrays-not-a-list", "no-adapter-targets",
-            "non-boolean-regime"])
+            "non-boolean-regime", "non-object-extra"])
     def test_malformed_header_entry(self, tmp_path, defect, mutate):
         path = self.make_file(tmp_path)
         raw = path.read_bytes()

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from _reference import attended_kv
 from roletune.data import (
     ByteTokenizer,
     DialogueSample,
@@ -142,10 +143,18 @@ class TestCorpusIO:
             load_corpus(path)
 
     def test_malformed_record_reports_line_number(self, tmp_path):
+        turns = DialogueSample("i", [("u", "a")]).to_record()["turns"]
         path = tmp_path / "bad2.jsonl"
-        path.write_text('{"instruction": "i", "turns": []}\n')
-        with pytest.raises(CorpusError, match="line 1"):
-            load_corpus(path)
+        for record in ({"instruction": "i", "turns": []},
+                       [1, 2],
+                       {"instruction": "i", "turns": ["hi", "yo"]},
+                       {"instruction": 5, "turns": turns},
+                       {"instruction": "i", "turns": turns, "target": 3},
+                       {"instruction": "i", "turns": turns,
+                        "target": {"topic": "oz", "round": "1"}}):
+            path.write_text(json.dumps(record) + "\n")
+            with pytest.raises(CorpusError, match="line 1"):
+                load_corpus(path)
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "gaps.jsonl"
@@ -284,7 +293,7 @@ class TestBuildRoundBatches:
                 np.testing.assert_array_equal(grid.positions[b][mine],
                                               expected[b][seg.validity[b]])
             kv = [(np.zeros((batch.batch, 1, seg.tokens.shape[1], 2), dtype=np.float32),) * 2]
-            mem = mem.append(kv, seg.validity, i)
+            mem = mem.append(attended_kv(mem.layers, kv), seg.validity, i)
 
 
 class TestConcatAndSplitLayouts:

@@ -9,6 +9,7 @@ from roletune.generate import (
     GenerationConfig,
     Utterance,
     candidate_ids,
+    extend_memory,
     generate_response,
     prime_memory,
     sample_from_logits,
@@ -269,6 +270,35 @@ class TestGenerateResponse:
                 replay_choice = int(byte_candidates[np.argmax(
                     np.asarray(full_logits, dtype=np.float64)[byte_candidates])])
                 assert replay_choice == chosen[j]
+
+
+class TestCacheGrowth:
+    """A reply grows a new memory over the K/V the model attended over; the
+    memory it grew from stays whole, as the branch point evaluation reuses."""
+
+    def test_reply_keeps_the_prefix_and_the_branch_point(self):
+        model, adapters = make_model(seed=8)
+        instruction, user, gold = "persona kavo", "how why", "kavo sails"
+        mem = prime_memory(model, adapters, TOK, instruction, [])
+        mem = extend_memory(model, adapters, TOK, mem, "user", user)
+        before = [(k.tobytes(), v.tobytes()) for k, v in mem.layers]
+        _, grown = generate_response(model, adapters, TOK, mem, "agent",
+                                     GenerationConfig(max_new_tokens=8, seed=1))
+        assert grown.stored > mem.stored
+        for (k, v), (k_grown, v_grown) in zip(mem.layers, grown.layers):
+            assert k_grown[:, :, :mem.stored].tobytes() == k.tobytes()
+            assert v_grown[:, :, :mem.stored].tobytes() == v.tobytes()
+        assert [(k.tobytes(), v.tobytes()) for k, v in mem.layers] == before
+
+        # evaluate's branch: the gold reply extends the memory the sample grew from
+        branch = extend_memory(model, adapters, TOK, mem, "agent", gold)
+        fresh = prime_memory(model, adapters, TOK, instruction, [])
+        for role, text in (("user", user), ("agent", gold)):
+            fresh = extend_memory(model, adapters, TOK, fresh, role, text)
+        for (k, v), (k_fresh, v_fresh) in zip(branch.layers, fresh.layers):
+            assert k.tobytes() == k_fresh.tobytes() and v.tobytes() == v_fresh.tobytes()
+        np.testing.assert_array_equal(branch.segments, fresh.segments)
+        np.testing.assert_array_equal(branch.counts, fresh.counts)
 
 
 class TestMergedDecoding:

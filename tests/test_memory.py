@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from _reference import attended_kv
 from roletune.errors import ShapeError
 from roletune.memory import RoundMemory
 from roletune.tensor import MASK_NEG
@@ -38,7 +39,7 @@ class TestAppend:
         rng = np.random.default_rng(1)
         mem = RoundMemory.empty(2, 2, 2, 4)
         mem = mem.append(make_segment(rng, seg=3), np.ones((2, 3)), 0)
-        mem = mem.append(make_segment(rng, seg=5), np.ones((2, 5)), 1)
+        mem = mem.append(attended_kv(mem.layers, make_segment(rng, seg=5)), np.ones((2, 5)), 1)
         assert mem.stored == 8
         np.testing.assert_array_equal(mem.counts, [8, 8])
 
@@ -47,13 +48,11 @@ class TestAppend:
         first_kv = make_segment(rng, seg=3)
         mem1 = RoundMemory.empty(2, 2, 2, 4).append(first_kv, np.ones((2, 3)), 0)
         snapshot = [(k.copy(), v.copy()) for k, v in mem1.layers]
-        mem2 = mem1.append(make_segment(rng, seg=2), np.ones((2, 2)), 1)
+        mem2 = mem1.append(attended_kv(mem1.layers, make_segment(rng, seg=2)), np.ones((2, 2)), 1)
         assert mem1.stored == 3 and mem2.stored == 5
         for (k, v), (ks, vs) in zip(mem1.layers, snapshot):
             np.testing.assert_array_equal(k, ks)
             np.testing.assert_array_equal(v, vs)
-        # the new store's prefix is the old store, byte for byte
-        np.testing.assert_array_equal(mem2.layers[0][0][:, :, :3], mem1.layers[0][0])
 
     def test_stored_arrays_are_read_only(self):
         rng = np.random.default_rng(3)
@@ -64,11 +63,14 @@ class TestAppend:
             mem.validity[0, 0] = False
 
     def test_mutating_source_after_append_leaves_memory_unchanged(self):
+        # the memory takes ownership of the arrays it is given: a write
+        # through the caller's reference is refused
         rng = np.random.default_rng(4)
         seg_kv = make_segment(rng)
         mem = RoundMemory.empty(2, 2, 2, 4).append(seg_kv, np.ones((2, 3)), 0)
         before = mem.layers[0][0].copy()
-        seg_kv[0][0][:] = 0.0
+        with pytest.raises(ValueError):
+            seg_kv[0][0][:] = 0.0
         np.testing.assert_array_equal(mem.layers[0][0], before)
 
     def test_batch_mismatch_rejected(self):
@@ -78,6 +80,13 @@ class TestAppend:
             mem.append(make_segment(rng, batch=3), np.ones((3, 3)), 0)
         with pytest.raises(ShapeError):
             mem.append(make_segment(rng), np.ones((3, 3)), 0)
+
+    def test_segment_slots_alone_rejected(self):
+        # an append takes the stored slots plus the new ones, as attended over
+        rng = np.random.default_rng(19)
+        mem = RoundMemory.empty(2, 2, 2, 4).append(make_segment(rng), np.ones((2, 3)), 0)
+        with pytest.raises(ShapeError, match="layer store shape"):
+            mem.append(make_segment(rng), np.ones((2, 3)), 1)
 
     def test_layer_count_mismatch_rejected(self):
         rng = np.random.default_rng(6)
@@ -91,17 +100,17 @@ class TestAppend:
         with pytest.raises(ShapeError):
             mem.append(make_segment(rng), np.ones((2, 3)), -1)
         mem = mem.append(make_segment(rng), np.ones((2, 3)), 2)
-        with pytest.raises(ShapeError):
-            mem.append(make_segment(rng), np.ones((2, 3)), 1)
+        with pytest.raises(ShapeError, match="precedes"):
+            mem.append(attended_kv(mem.layers, make_segment(rng)), np.ones((2, 3)), 1)
 
     def test_segments_recorded_per_slot(self):
         rng = np.random.default_rng(8)
         mem = RoundMemory.empty(2, 2, 2, 4)
         mem = mem.append(make_segment(rng, seg=2), np.ones((2, 2)), 0)
-        mem = mem.append(make_segment(rng, seg=3), np.ones((2, 3)), 1)
+        mem = mem.append(attended_kv(mem.layers, make_segment(rng, seg=3)), np.ones((2, 3)), 1)
         np.testing.assert_array_equal(mem.segments, [0, 0, 1, 1, 1])
         # a decoded token continues its reply's segment
-        mem = mem.append(make_segment(rng, seg=1), np.ones((2, 1)), 1)
+        mem = mem.append(attended_kv(mem.layers, make_segment(rng, seg=1)), np.ones((2, 1)), 1)
         np.testing.assert_array_equal(mem.segments, [0, 0, 1, 1, 1, 1])
         assert mem.next_segment == 2
 
@@ -149,7 +158,8 @@ class TestNextPositions:
             pos = mem.next_positions(validity)
             for b in range(3):
                 collected[b].extend(pos[b, validity[b].astype(bool)].tolist())
-            mem = mem.append(make_segment(rng, batch=3, seg=seg), validity, mem.next_segment)
+            mem = mem.append(attended_kv(mem.layers, make_segment(rng, batch=3, seg=seg)),
+                             validity, mem.next_segment)
         for b in range(3):
             np.testing.assert_array_equal(collected[b], np.arange(len(collected[b])))
             assert len(collected[b]) == mem.counts[b]
