@@ -61,8 +61,8 @@ def load_checkpoint(path):
     """Read a weight file; returns (model, adapters, extra metadata).
 
     Every structural mismatch — magic, version, header, array count, shape,
-    or a short payload — raises CheckpointError before any partial state
-    escapes.
+    or a short payload — and every non-finite weight raises CheckpointError
+    before any partial state escapes.
     """
     with open(path, "rb") as f:
         payload = f.read()
@@ -116,6 +116,8 @@ def load_checkpoint(path):
         if offset + nbytes > len(payload):
             raise CheckpointError(f"{path}: payload ends inside array {name!r}")
         arr = np.frombuffer(payload, dtype=dtype, count=count, offset=offset)
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: array {name!r} holds non-finite values")
         arrays[name] = arr.reshape(shape).astype(dtype.newbyteorder("="), copy=True)
         offset += nbytes
     if offset != len(payload):

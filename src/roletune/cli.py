@@ -22,7 +22,7 @@ import hashlib
 import json
 import logging
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -123,9 +123,12 @@ class RunManifest:
 def load_manifest(path: Path) -> dict:
     try:
         with open(path, encoding="utf-8") as f:
-            return json.load(f)
+            manifest = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read manifest {path}: {e}") from e
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"manifest {path} must hold a JSON object")
+    return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +141,30 @@ GEN_FLAG_FIELDS = {"top_p": "top_p", "top_k": "top_k",
                    "max_new_tokens": "max_new_tokens", "seed": "seed"}
 
 
+# the JSON values a config field accepts, by its annotated type
+FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str, "tuple": list}
+
+
+def config_from(cls, values, where: str):
+    """`cls.from_dict(values)` for one JSON object of a file; a key it does
+    not know or a value of the wrong type raises ConfigError naming `where`
+    and the key."""
+    if not isinstance(values, dict):
+        raise ConfigError(f"{where} must be a JSON object, not {type(values).__name__}")
+    types = {f.name: f.type for f in fields(cls)}
+    for key, value in values.items():
+        if key not in types:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+        kind, _, optional = types[key].partition(" | ")
+        if not (value is None and optional or isinstance(value, FIELD_TYPES[kind.split("[")[0]])
+                and isinstance(value, bool) == (kind == "bool")):
+            raise ConfigError(f"{where}: {key} is {value!r}, not {types[key]}")
+    try:
+        return cls.from_dict(values)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{where}: {e}") from e
+
+
 def load_config_file(path: Path) -> dict:
     try:
         with open(path, encoding="utf-8") as f:
@@ -146,25 +173,29 @@ def load_config_file(path: Path) -> dict:
         raise ConfigError(f"cannot read config file {path}: {e}") from e
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    sections = {"train": dict(raw.get("train", {})),
-                "model": dict(raw.get("model", {})),
-                "generation": dict(raw.get("generation", {}))}
-    train_fields = set(TrainConfig().to_dict())
+    sections = {}
+    for name in ("train", "model", "generation"):
+        section = raw.get(name, {})
+        if not isinstance(section, dict):
+            raise ConfigError(f"config file {path}: section {name!r} must be a JSON object")
+        sections[name] = dict(section)
     for key, value in raw.items():
-        if key in sections:
-            continue
-        if key in train_fields:  # top-level mirror of TrainConfig fields
+        if key not in sections:  # other top-level keys mirror TrainConfig fields
             sections["train"].setdefault(key, value)
-        else:
-            raise ConfigError(f"config file {path}: unknown key {key!r}")
     return sections
+
+
+CONFIG_SECTIONS = (("train", TrainConfig), ("model", ModelConfig),
+                   ("generation", GenerationConfig))
 
 
 def resolve_configs(args) -> dict:
     """Merge config file and flags into one resolved snapshot; flags win."""
     sections = {"train": {}, "model": {}, "generation": {}}
+    where = "flags"
     if getattr(args, "config", None):
         sections = load_config_file(Path(args.config))
+        where = f"config file {args.config}"
     for flag, field in TRAIN_FLAG_FIELDS.items():
         value = getattr(args, flag, None)
         if value is not None:
@@ -173,9 +204,9 @@ def resolve_configs(args) -> dict:
         value = getattr(args, flag, None)
         if value is not None:
             sections["generation"][field] = value
-    train_cfg = TrainConfig(**sections["train"])
-    model_cfg = ModelConfig(**sections["model"])
-    gen_cfg = GenerationConfig(**sections["generation"])
+    train_cfg, model_cfg, gen_cfg = (
+        config_from(cls, sections[name], f"{where}: section {name!r}")
+        for name, cls in CONFIG_SECTIONS)
     return {
         "train": train_cfg,
         "model": model_cfg,
@@ -193,7 +224,7 @@ def load_spec_file(path: Path | None, with_targets: bool) -> SynthSpec:
             raw = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read corpus spec {path}: {e}") from e
-    return SynthSpec.from_dict(raw)
+    return config_from(SynthSpec, raw, f"corpus spec {path}")
 
 
 def resolve_oracle(arg: str | None) -> ConsistencyOracle | None:
@@ -394,18 +425,20 @@ def cmd_compare(args) -> int:
         previous = load_manifest(Path(args.from_manifest))
         if previous.get("command") != "compare":
             raise ConfigError(f"{args.from_manifest} is not a compare manifest")
-        corpus = Path(previous["inputs"]["corpus"]["path"])
-        test_path = previous["inputs"].get("test_corpus", {}).get("path")
-        test_corpus = Path(test_path) if test_path else None
-        snap = previous["config"]
-        cfgs = {
-            "train": TrainConfig.from_dict(snap["train"]),
-            "model": ModelConfig.from_dict(snap["model"]),
-            "generation": GenerationConfig.from_dict(snap["generation"]),
-            "snapshot": snap,
-        }
+        where = f"manifest {args.from_manifest}"
+        inputs, snap = previous.get("inputs"), previous.get("config")
         oracle_arg = previous.get("oracle_arg", "default")
-        for name, entry in previous["inputs"].items():
+        if not (isinstance(inputs, dict) and "corpus" in inputs and isinstance(snap, dict)
+                and isinstance(oracle_arg, str)):
+            raise ConfigError(f"{where}: needs an 'inputs' object with a 'corpus' entry, "
+                              f"a 'config' object and a string 'oracle_arg'")
+        cfgs = {name: config_from(cls, snap.get(name), f"{where}: config section {name!r}")
+                for name, cls in CONFIG_SECTIONS}
+        cfgs["snapshot"] = snap
+        for name, entry in inputs.items():
+            if not (isinstance(entry, dict) and isinstance(entry.get("path"), str)
+                    and isinstance(entry.get("sha256"), str)):
+                raise ConfigError(f"{where}: input {name!r} needs a 'path' and a 'sha256' string")
             p = Path(entry["path"])
             require_file(p, name)
             actual = sha256_file(p)
@@ -413,6 +446,8 @@ def cmd_compare(args) -> int:
                 raise ConfigError(
                     f"{name} at {p} has changed since the manifest was written "
                     f"(sha256 {actual} != {entry['sha256']}); cannot reproduce")
+        corpus = Path(inputs["corpus"]["path"])
+        test_corpus = Path(inputs["test_corpus"]["path"]) if "test_corpus" in inputs else None
     else:
         if args.corpus is None:
             raise UsageError("compare needs a corpus (or --from-manifest)")

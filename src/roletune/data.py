@@ -285,7 +285,7 @@ def position_ids(valid, start=0) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# fitting dialogues to the model, and the split layout
+# fitting dialogues to the model
 # ---------------------------------------------------------------------------
 
 def fit_dialogue(sample: DialogueSample, tokenizer: ByteTokenizer,
@@ -306,20 +306,6 @@ def fit_dialogue(sample: DialogueSample, tokenizer: ByteTokenizer,
         raise CapacityError(
             f"dialogue needs {needed[0]} positions even at one round; limit {max_positions}")
     return sample.last_rounds(keep)
-
-
-def make_split_samples(sample: DialogueSample, tokenizer: ByteTokenizer):
-    """Per-round (context, response) id pairs: context holds everything
-    before the round's agent reply; response is that reply's segment."""
-    sample.validate()
-    context = list(tokenizer.encode_instruction(sample.instruction))
-    out = []
-    for user, agent in sample.rounds:
-        context = context + tokenizer.encode_utterance("user", user)
-        response = tokenizer.encode_utterance("agent", agent)
-        out.append((np.array(context, dtype=np.int64), np.array(response, dtype=np.int64)))
-        context = context + response
-    return out
 
 
 # ---------------------------------------------------------------------------

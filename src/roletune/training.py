@@ -14,8 +14,10 @@ Three modes over the same frozen backbone, each one causal pass per batch:
   deltas. One step optimizes L = L_s + beta * L_u over both delta sets.
 - "concat": midi's packed grid as one causal sequence per dialogue: every
   token under the agent deltas, every read live, loss on agent spans only.
-- "split": one (context, response) sample per round, loss on the response,
-  agent deltas only.
+- "split": concat's pass, but a step takes (dialogue, round) pairs, not
+  dialogues. Each dialogue of a step is one row, cut after its last paired
+  round; earlier rounds are context, and only the paired rounds' agent
+  replies are scored.
 
 Before any of them, `train` fits each dialogue to max_rounds and the model's
 max_positions by one rule (`data.fit_dialogue`), so all three modes see the
@@ -44,7 +46,6 @@ from .data import (
     RoundBatch,
     build_round_batches,
     fit_dialogue,
-    make_split_samples,
     position_ids,
     visibility_mask,
 )
@@ -171,7 +172,7 @@ class PackedBatch:
     order, padding after them, plus the segment each token came from.
 
     Segment 0 is the instruction; user (odd) and agent (even) utterances
-    follow, round by round. A split batch is one segment 0 per row.
+    follow, round by round, so round t (from 0) is segments 2t+1 and 2t+2.
     """
 
     tokens: np.ndarray      # (batch, width)
@@ -265,7 +266,8 @@ def combine_losses(ls: Tensor, lu: Tensor, beta: float) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def pad_causal_batch(pairs: list[tuple[np.ndarray, np.ndarray]]) -> PackedBatch:
-    """Pad (ids, loss_mask) sequences into one right-padded grid."""
+    """Pad (ids, loss_mask) sequences into one right-padded grid (no caller in
+    the package; kept because perfbench's tracer patches this name)."""
     width = max(len(ids) for ids, _ in pairs)
     batch = len(pairs)
     tokens = np.full((batch, width), ByteTokenizer.PAD, dtype=np.int64)
@@ -277,20 +279,26 @@ def pad_causal_batch(pairs: list[tuple[np.ndarray, np.ndarray]]) -> PackedBatch:
     return PackedBatch(tokens, validity, loss, np.zeros(tokens.shape, dtype=np.int64))
 
 
-def split_pairs(samples: list[DialogueSample], tokenizer: ByteTokenizer):
-    out = []
-    for s in samples:
-        for context, response in make_split_samples(s, tokenizer):
-            ids = np.concatenate([context, response])
-            mask = np.zeros(len(ids), dtype=bool)
-            mask[len(context) + 1:] = True  # response bytes + EOS, not its role special
-            out.append((ids, mask))
-    return out
+def split_rows(pairs: list[tuple[DialogueSample, int]]):
+    """Split's (dialogue, round) pairs as round-batch rows: each dialogue
+    once, cut after its last paired round, in the descending-round-count
+    order `build_round_batches` keeps; plus each row's first paired round."""
+    spans = {}  # per dialogue: [sample, first paired round, last paired round]
+    for sample, t in pairs:
+        spans.setdefault(id(sample), [sample, t, t])[2] = t
+    spans = sorted(spans.values(), key=lambda span: -span[2])
+    rows = [DialogueSample(s.instruction, s.rounds[:last + 1]) for s, _, last in spans]
+    return rows, np.array([first for _, first, _ in spans])
+
+
+def score_from_round(packed: PackedBatch, first: np.ndarray) -> PackedBatch:
+    """Limit the loss to each row's agent replies from round first[row] on."""
+    packed.loss_mask &= packed.segments >= 2 * first[:, None] + 2
+    return packed
 
 
 def causal_loss(model: Transformer, adapters: RoleAdapters, batch: PackedBatch):
-    """Agent-span token-mean loss of a plain causal pass (agent deltas); a
-    split grid is all segment 0, which counts as agent."""
+    """Agent-span token-mean loss of a plain causal pass (agent deltas)."""
     mask = visibility_mask(batch.segments, batch.validity, batch.is_agent,
                            batch.segments, batch.validity)
     logits, _ = model.forward_segment(batch.tokens, batch.positions, "agent", adapters,
@@ -346,7 +354,7 @@ def train(samples: list[DialogueSample], cfg: TrainConfig,
         order = labeled_rng(cfg.seed, f"data-order-epoch{epoch}").permutation(len(samples))
         shuffled = [samples[i] for i in order]
         if cfg.mode == "split":
-            return _chunk(split_pairs(shuffled, tokenizer), cfg.batch_size)
+            shuffled = [(s, t) for s in shuffled for t in range(len(s.rounds))]
         return _chunk(shuffled, cfg.batch_size)
 
     steps_per_epoch = len(epoch_units(0))
@@ -363,15 +371,16 @@ def train(samples: list[DialogueSample], cfg: TrainConfig,
             for micro_unit in micro_units:
                 with Tape() as tape:
                     lu = Tensor(np.zeros(()))
-                    if cfg.mode == "split":
-                        ls, _ = causal_loss(model, adapters, pad_causal_batch(micro_unit))
+                    rows, first = (split_rows(micro_unit) if cfg.mode == "split"
+                                   else (micro_unit, None))
+                    [batch] = build_round_batches(rows, tokenizer, len(rows), cfg.max_rounds)
+                    if cfg.mode == "midi":
+                        ls, lu, _, _ = midi_losses(model, adapters, batch, cfg)
                     else:
-                        [batch] = build_round_batches(micro_unit, tokenizer,
-                                                      len(micro_unit), cfg.max_rounds)
-                        if cfg.mode == "midi":
-                            ls, lu, _, _ = midi_losses(model, adapters, batch, cfg)
-                        else:
-                            ls, _ = causal_loss(model, adapters, pack_round_batch(batch))
+                        packed = pack_round_batch(batch)
+                        if first is not None:
+                            packed = score_from_round(packed, first)
+                        ls, _ = causal_loss(model, adapters, packed)
                     total = combine_losses(ls, lu, cfg.beta) if cfg.mode == "midi" else ls
                     scaled = total * scale if scale != 1.0 else total
                 tape.backward(scaled)

@@ -113,3 +113,18 @@ def attended_kv(stored, segment):
     segment's, along the slot axis."""
     return [(np.concatenate([k, ks], axis=2), np.concatenate([v, vs], axis=2))
             for (k, v), (ks, vs) in zip(stored, segment)]
+
+
+def split_samples(sample, tokenizer):
+    """The per-round split layout, one (context, response) id pair per
+    round: the context holds everything before the round's agent reply, the
+    response is that reply's segment. Split scores the response's bytes and
+    EOS, not its role special."""
+    context = list(tokenizer.encode_instruction(sample.instruction))
+    out = []
+    for user, agent in sample.rounds:
+        context = context + tokenizer.encode_utterance("user", user)
+        response = tokenizer.encode_utterance("agent", agent)
+        out.append((np.array(context, dtype=np.int64), np.array(response, dtype=np.int64)))
+        context = context + response
+    return out

@@ -21,6 +21,7 @@ import workloads  # noqa: E402
 # counters that only an after-hook of the workload's set-up path increments
 HOOKED = {
     "train-midi": ("training.valid_tokens",),
+    "train-concat": ("training.valid_tokens",),
     "eval-decode": ("memory.append_calls", "generate.tokens_forwarded", "training.valid_tokens"),
     "chat-long": ("memory.append_calls", "generate.tokens_forwarded", "training.valid_tokens"),
 }

@@ -200,6 +200,26 @@ class TestRejection:
         with pytest.raises(CheckpointError, match=defect):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("name, value", [
+        ("adapters.agent.layer0.q.B", np.nan),
+        ("adapters.user.layer1.q.A", -np.inf),
+        ("base.embed", np.inf),
+    ], ids=["nan-adapter", "neg-inf-adapter", "inf-base"])
+    def test_non_finite_weight(self, tmp_path, name, value):
+        path = self.make_file(tmp_path)
+        raw = bytearray(path.read_bytes())
+        (header_len,) = struct.unpack_from("<I", raw, 8)
+        header = json.loads(raw[12:12 + header_len].decode("utf-8"))
+        offset = 12 + header_len
+        for entry in header["arrays"]:
+            if entry["name"] == name:
+                break
+            offset += int(np.prod(entry["shape"])) * np.dtype(entry["dtype"]).itemsize
+        raw[offset:offset + 4] = np.array([value], dtype="<f4").tobytes()  # its first element
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match=f"{name!r} holds non-finite"):
+            load_checkpoint(path)
+
     def test_not_a_file_at_all(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"hello world this is not weights")

@@ -78,6 +78,21 @@ class TestDataSynth:
         assert manifest["config"]["corpus_spec"]["rounds_max"] == 2
 
 
+    @pytest.mark.parametrize("recipe, message", [
+        ({"n_layers": 1}, "unknown key 'n_layers'"),
+        ({"user_vocab": ["hi"], "agent_vocab": ["ka"]}, "required positional argument: 'markers'"),
+        ({**default_synth_spec().to_dict(), "rounds_min": "2"}, "rounds_min is '2', not int"),
+        ([1], "must be a JSON object, not list"),
+    ], ids=["unknown-key", "missing-key", "string-round-count", "not-an-object"])
+    def test_malformed_recipe_exits_one(self, tmp_path, capsys, recipe, message):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(recipe))
+        assert main(["data-synth", "--n", "2", "--spec-file", str(spec),
+                     "--out", str(tmp_path / "c.jsonl")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: corpus spec ") and message in err
+
+
 class TestTrain:
     def test_artifacts_and_manifest(self, tmp_path, corpus):
         cfg = write_config(tmp_path / "cfg.json")
@@ -346,6 +361,23 @@ class TestCompare:
                      "--out", str(redo)])
         assert code == 1
 
+    @pytest.mark.parametrize("manifest, message", [
+        ({"command": "compare"}, "needs an 'inputs' object with a 'corpus' entry"),
+        ([1], "must hold a JSON object"),
+        ({"command": "compare", "inputs": {"corpus": {"path": "c.jsonl"}},
+          "config": {"train": {}, "model": {}, "generation": {}}},
+         "input 'corpus' needs a 'path' and a 'sha256' string"),
+        ({"command": "compare", "inputs": {"corpus": {"path": "c.jsonl", "sha256": "0"}},
+          "config": {"train": {"epochs": "2"}}}, "config section 'train': epochs is '2'"),
+    ], ids=["no-inputs", "not-an-object", "input-without-hash", "string-epochs"])
+    def test_malformed_manifest_exits_one(self, tmp_path, capsys, manifest, message):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        assert main(["compare", "--from-manifest", str(path),
+                     "--out", str(tmp_path / "redo")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
     def test_compare_without_corpus_is_usage_error(self, tmp_path):
         assert main(["compare", "--out", str(tmp_path / "x")]) == 2
 
@@ -360,12 +392,22 @@ class TestParsing:
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
 
-    def test_unknown_config_key_rejected(self, tmp_path, corpus):
+    @pytest.mark.parametrize("config, message", [
+        ({"learning_rate": 1e-3}, "unknown key 'learning_rate'"),
+        ({"train": {"epochs": 1, "bogus": 1}}, "section 'train': unknown key 'bogus'"),
+        ({"train": [1, 2]}, "section 'train' must be a JSON object"),
+        ({"model": {"d_model": "64"}}, "section 'model': d_model is '64', not int"),
+        ({"train": {"epochs": True}}, "section 'train': epochs is True, not int"),
+    ], ids=["unknown-top-level-key", "unknown-train-key", "train-not-an-object",
+            "string-model-size", "boolean-epochs"])
+    def test_unknown_config_key_rejected(self, tmp_path, corpus, capsys, config, message):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"learning_rate": 1e-3}))
+        bad.write_text(json.dumps(config))
         code = main(["train", str(corpus), "--config", str(bad),
                      "--out", str(tmp_path / "run")])
         assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config file ") and message in err
 
     def test_top_level_train_fields_accepted(self, tmp_path, corpus):
         cfg = tmp_path / "flat.json"

@@ -15,7 +15,6 @@ from roletune.data import (
     default_synth_spec,
     fit_dialogue,
     load_corpus,
-    make_split_samples,
     save_corpus,
     synth_generate,
 )
@@ -184,8 +183,10 @@ def concat_scored(samples):
 
 
 def sequence_length(sample):
-    """Tokens of the whole dialogue: the last split sample holds all of them."""
-    return sum(len(part) for part in make_split_samples(sample, TOK)[-1])
+    """Tokens of the whole dialogue: the instruction plus every utterance."""
+    return len(TOK.encode_instruction(sample.instruction)) + sum(
+        len(TOK.encode_utterance("user", u)) + len(TOK.encode_utterance("agent", a))
+        for u, a in sample.rounds)
 
 
 class TestBuildRoundBatches:
@@ -352,25 +353,6 @@ class TestConcatAndSplitLayouts:
         sample = two_round_sample()
         fitted = fit_dialogue(sample, TOK, max_rounds=10, max_positions=sequence_length(sample))
         assert fitted.rounds == sample.rounds and fitted.instruction == sample.instruction
-
-    def test_split_count_equals_rounds(self):
-        sample = two_round_sample()
-        assert len(make_split_samples(sample, TOK)) == 2
-
-    def test_split_contexts_nest_as_prefixes(self):
-        sample = DialogueSample("i", [("u1", "a1"), ("u2", "a2"), ("u3", "a3")])
-        pairs = make_split_samples(sample, TOK)
-        for (c1, _), (c2, _) in zip(pairs, pairs[1:]):
-            assert len(c1) < len(c2)
-            np.testing.assert_array_equal(c2[:len(c1)], c1)
-
-    def test_last_split_sample_reassembles_concat_sequence(self):
-        sample = two_round_sample()
-        pairs = make_split_samples(sample, TOK)
-        context, response = pairs[-1]
-        grid = packed([sample])
-        np.testing.assert_array_equal(np.concatenate([context, response]),
-                                      grid.tokens[0][grid.validity[0]])
 
 
 class TestSynthSpec:

@@ -13,7 +13,6 @@ from roletune.data import (
     SynthSpec,
     build_round_batches,
     default_synth_spec,
-    make_split_samples,
     synth_generate,
 )
 from roletune.errors import CapacityError, ConfigError
@@ -28,8 +27,9 @@ from roletune.training import (
     midi_losses,
     pack_round_batch,
     pad_causal_batch,
+    score_from_round,
     shifted_targets,
-    split_pairs,
+    split_rows,
     train,
 )
 
@@ -439,34 +439,107 @@ class TestCausalModes:
     def test_split_pairs_equal_concat_for_single_round(self):
         samples = [DialogueSample("persona talu", [("how", "talu decks")])]
         c = concat_grid(samples)
-        s = split_pairs(samples, TOK)
-        assert c.tokens.shape[0] == len(s) == 1
-        np.testing.assert_array_equal(c.tokens[0], s[0][0])
-        np.testing.assert_array_equal((c.loss_mask & c.is_agent)[0], s[0][1])
+        s = split_grid([(samples[0], 0)])
+        for name in ("tokens", "validity", "segments"):
+            np.testing.assert_array_equal(getattr(s, name), getattr(c, name))
+        np.testing.assert_array_equal(s.loss_mask & s.is_agent, c.loss_mask & c.is_agent)
         model, adapters = small_setup(seed=14)
         loss_c, n_c = causal_loss(model, adapters, c)
-        loss_s, n_s = causal_loss(model, adapters, pad_causal_batch(s))
+        loss_s, n_s = causal_loss(model, adapters, s)
         assert n_c == n_s and loss_c.item() == loss_s.item()
 
     def test_split_token_accounting(self):
-        # split re-feeds every prefix: sum over rounds of |context_t| + |s_t|
-        sample = DialogueSample("persona kavo",
-                                [("how", "kavo sails"), ("why", "kavo winds"),
-                                 ("when", "kavo tides")])
-        pairs = make_split_samples(sample, TOK)
-        seen = sum(len(c) + len(r) for c, r in pairs)
-        inst = len(TOK.encode_instruction(sample.instruction))
-        expected = 0
-        prefix = inst
-        for user, agent in sample.rounds:
-            u = len(TOK.encode_utterance("user", user))
-            a = len(TOK.encode_utterance("agent", agent))
-            prefix += u
-            expected += prefix + a
-            prefix += a
-        assert seen == expected
-        concat_len = prefix
-        assert seen > concat_len  # the split layout re-reads earlier rounds
+        # a split step forwards each of its dialogues once, up to its last
+        # paired round, and scores exactly its paired rounds' agent tokens
+        three = DialogueSample("persona kavo", [("how", "kavo sails"), ("why", "kavo winds"),
+                                                ("when", "kavo tides")])
+        two = DialogueSample("persona lume", [("who", "lume glows"), ("where", "lume dims")])
+        grid = split_grid([(two, 0), (three, 1), (three, 2)])
+        # rows come in descending round count: three (rounds 1-3), two (round 1)
+        assert grid.tokens.shape[0] == 2
+        upto = lambda sample, b: sum(map(len, ref.split_samples(sample, TOK)[b - 1]))
+        assert grid.validity.sum(axis=1).tolist() == [upto(three, 3), upto(two, 1)]
+        scored = grid.loss_mask & grid.is_agent
+        agent_bytes = lambda text: len(TOK.encode(text)) + 1  # bytes + EOS
+        assert scored.sum(axis=1).tolist() == [
+            agent_bytes("kavo winds") + agent_bytes("kavo tides"), agent_bytes("lume glows")]
+        # the scored tokens are exactly the paired replies' bytes and EOS
+        assert grid.tokens[0][scored[0]].tolist() == (
+            TOK.encode("kavo winds") + [TOK.EOS] + TOK.encode("kavo tides") + [TOK.EOS])
+        assert grid.tokens[1][scored[1]].tolist() == TOK.encode("lume glows") + [TOK.EOS]
+        model, adapters = small_setup(seed=15)
+        _, n = causal_loss(model, adapters, grid)
+        assert n == int(scored.sum())
+
+
+def split_grid(pairs):
+    """Split's packed grid for one micro-step of (dialogue, round) pairs."""
+    rows, first = split_rows(pairs)
+    [batch] = build_round_batches(rows, TOK, batch_size=len(rows))
+    return score_from_round(pack_round_batch(batch), first)
+
+
+def pair_losses(model, adapters, sample):
+    """Per-round (summed NLL, scored count) of the split oracle layout: each
+    round's context and reply as one sequence of its own, scored on the
+    reply's bytes and EOS."""
+    out = []
+    for context, response in ref.split_samples(sample, TOK):
+        ids = np.concatenate([context, response])
+        with Tape():
+            logits, _ = model.forward_segment(ids[None], np.arange(len(ids))[None],
+                                              "agent", adapters)
+        x = logits.data[0].astype(np.float64)
+        lse = np.log(np.exp(x - x.max(-1, keepdims=True)).sum(-1)) + x.max(-1)
+        scored = range(len(context) + 1, len(ids))
+        out.append((sum(lse[j - 1] - x[j - 1, ids[j]] for j in scored), len(scored)))
+    return out
+
+
+class TestSplitSteps:
+    """Split on the round batch keeps the per-round layout's step contract."""
+
+    @pytest.mark.parametrize("micro_batch", [None, 2])
+    def test_every_step_matches_the_per_round_oracle(self, monkeypatch, micro_batch):
+        corpus = synth_generate(4, 6, default_synth_spec())  # 2-8 rounds each
+        cfg = TrainConfig(mode="split", batch_size=4, micro_batch=micro_batch, epochs=1,
+                          lr=1e-2, seed=5)
+        order = tr.labeled_rng(cfg.seed, "data-order-epoch0").permutation(len(corpus))
+        pairs = [(corpus[i], t) for i in order for t in range(len(corpus[i].rounds))]
+        micro = cfg.micro_batch or cfg.batch_size
+        expected = [unit[j:j + micro] for unit in tr._chunk(pairs, cfg.batch_size)
+                    for j in range(0, len(unit), micro)]
+        state = {}
+        real_build, real_causal = tr.build_round_batches, tr.causal_loss
+
+        def spy_build(samples, *args, **kwargs):
+            state["rows"] = [(s.instruction, tuple(s.rounds)) for s in samples]
+            return real_build(samples, *args, **kwargs)
+
+        def spy_causal(model, adapters, batch):
+            loss, n = real_causal(model, adapters, batch)
+            unit = expected[len(seen)]
+            # each dialogue of the micro-step is one row, cut after its last pair
+            last = {}
+            for sample, t in unit:
+                last[id(sample)] = (sample.instruction, tuple(sample.rounds[:t + 1]))
+            assert sorted(state["rows"]) == sorted(last.values())
+            terms = [pair_losses(model, adapters, sample)[t] for sample, t in unit]
+            assert n == sum(k for _, k in terms)
+            assert loss.item() == pytest.approx(sum(v for v, _ in terms) / n, abs=1e-5)
+            seen.append(loss.item())
+            return loss, n
+
+        seen = []
+        monkeypatch.setattr(tr, "build_round_batches", spy_build)
+        monkeypatch.setattr(tr, "causal_loss", spy_causal)
+        log = train(corpus, cfg, model_config=SMALL).loss_log
+        assert len(seen) == len(expected)
+        assert len(log) == len(tr._chunk(pairs, cfg.batch_size))
+        per_step = math.ceil(cfg.batch_size / micro)
+        for rec, i in zip(log, range(0, len(seen), per_step)):
+            losses = seen[i:i + per_step]
+            assert rec["L_s"] == pytest.approx(sum(losses) / len(losses), abs=1e-6)
 
 
 class TestTrainLoop:
@@ -599,25 +672,25 @@ class TestTrainLoop:
             expected.add((s.instruction, tuple(s.rounds[drop:])))
 
         seen = set()
-        real_build, real_split = tr.build_round_batches, tr.make_split_samples
+        real_build = tr.build_round_batches
 
         def spy_build(*args, **kwargs):
             batches = real_build(*args, **kwargs)
             seen.update((s.instruction, tuple(s.rounds)) for b in batches for s in b.samples)
             return batches
 
-        def spy_split(sample, tokenizer):
-            seen.add((sample.instruction, tuple(sample.rounds)))
-            return real_split(sample, tokenizer)
-
         monkeypatch.setattr(tr, "build_round_batches", spy_build)
-        monkeypatch.setattr(tr, "make_split_samples", spy_split)
         for mode in ("midi", "concat", "split"):
             seen.clear()
             cfg = TrainConfig(mode=mode, batch_size=2, epochs=1, lr=1e-3, seed=3)
             log = train(corpus, cfg, model_config=tight).loss_log
             assert log and all(math.isfinite(r["L_total"]) for r in log)
-            assert seen == expected, mode
+            if mode == "split":  # rows are the fitted dialogues, each cut after a round
+                assert expected <= seen
+                assert all(any(inst == i and rounds == r[:len(rounds)] for i, r in expected)
+                           for inst, rounds in seen)
+            else:
+                assert seen == expected, mode
 
     def test_dialogue_beyond_max_positions_at_one_round_rejected(self):
         sample = DialogueSample("i", [("u" * 50, "a" * 50)])
