@@ -21,10 +21,14 @@ import argparse
 import hashlib
 import json
 import logging
+import os
+import platform
 import sys
 from dataclasses import fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .data import (
@@ -87,9 +91,34 @@ def fmt(x: float) -> str:
 # run manifests
 # ---------------------------------------------------------------------------
 
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def environment() -> dict:
+    """What a run's numbers depend on besides its inputs, under the names the
+    benchmark reports them: the Python and numpy versions, the BLAS numpy
+    was built against, the BLAS thread variables as set (None when unset),
+    and the CPUs present and usable."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip()
+    except (TypeError, KeyError):  # numpy before 1.26 prints its config only
+        blas = "unknown"
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas,
+        "blas_env": {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES},
+        "cpu_count": os.cpu_count(),
+        "cpus_usable": (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                        else os.cpu_count()),
+    }
+
+
 class RunManifest:
     """Everything needed to reproduce a run: resolved configuration, seed,
-    input files with content hashes, and (once finished) output hashes."""
+    input files with content hashes, the environment it ran in, and (once
+    finished) output hashes."""
 
     def __init__(self, command: str, seed: int, mode, config: dict,
                  inputs: dict[str, Path], out_dir: Path,
@@ -102,6 +131,7 @@ class RunManifest:
             "config": config,
             "created_utc": datetime.now(timezone.utc).isoformat(),
             "finished_utc": None,
+            "environment": environment(),
             "inputs": {
                 name: {"path": str(p), "sha256": sha256_file(p)}
                 for name, p in inputs.items()

@@ -4,9 +4,18 @@ Storage and vectorized kernels come from numpy; the differentiation machinery
 is a recording tape. Ops run "eager": with no active Tape they just compute,
 under a `with Tape() as tape:` block they also append a backward rule per call.
 `tape.backward(loss)` replays the records in reverse and returns gradients for
-the trainable leaves. An op computes no gradient for an input that does not
-require grad: its backward returns None in that slot, so frozen weights and
-constants cost no backward work.
+the trainable leaves. It releases each entry (output gradient, saved arrays,
+inputs and output) as soon as that entry's backward has run, so a pass holds
+only what later entries of the sweep still need. An op computes no gradient
+for an input that does not require grad: its backward returns None in that
+slot, so frozen weights and constants cost no backward work.
+
+`attention` runs grids of more than ATTENTION_TILE query rows in tiles of
+that many rows, each against only the keys up to the last column any of its
+rows sees; under a causal mask that skips the masked upper triangle. Skipped
+probabilities are exact zeros either way, but sums over fewer keys can move
+results by ulps. Smaller grids, every decoding step among them, run as one
+tile over every key.
 
 `linear(x, w)` is x @ W^T as one op. It runs against a contiguous W^T, which
 a tensor that does not require grad builds once per data array and keeps.
@@ -165,8 +174,16 @@ class Tape:
     def backward(self, loss: Tensor) -> dict[Tensor, np.ndarray]:
         """Accumulate gradients of a scalar loss into every trainable leaf.
 
-        Returns {leaf tensor: gradient array}. Frozen and detached tensors are
-        absent. A tape supports a single backward pass.
+        Returns {leaf tensor: gradient array}, the leaves in the order the
+        tape first reads them. Frozen and detached tensors are absent. A tape
+        supports a single backward pass.
+
+        Each entry is released as soon as its backward has run: every op that
+        read its output was recorded later, so its output's gradient is
+        complete and no longer needed. The entry drops that gradient, its
+        backward rule (with the arrays the rule saved), its inputs and its
+        output, so intermediates are freed during the sweep rather than after
+        it. `entries` keeps its recorded length.
         """
         if loss.data.shape != ():
             raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
@@ -174,26 +191,26 @@ class Tape:
             raise RuntimeError("tape already consumed by a previous backward pass")
         self._spent = True
 
+        leaves: dict[Tensor, None] = {}
+        for entry in self.entries:
+            for t in entry.inputs:
+                if t.requires_grad and id(t) not in self._produced:
+                    leaves.setdefault(t)
         loss.grad = np.ones((), dtype=loss.dtype)
-        leaves: dict[Tensor, np.ndarray] = {}
         for i in range(len(self.entries) - 1, -1, -1):
             entry = self.entries[i]
             g = entry.output.grad
-            if g is None:
-                continue  # not on a path to the loss
-            input_grads = entry.backward_fn(g)
-            for t, gi in zip(entry.inputs, input_grads):
-                if gi is None or not t.requires_grad:
-                    continue
-                # never mutate gradient arrays in place, so sharing is safe
-                t.grad = gi if t.grad is None else t.grad + gi
-        for entry in self.entries:
-            out = entry.output
-            for t in entry.inputs:
-                if t.requires_grad and id(t) not in self._produced and t.grad is not None:
-                    leaves.setdefault(t, t.grad)
-            out.grad = None  # free intermediates; leaves keep .grad for the optimizer
-        return leaves
+            if g is not None:  # else not on a path to the loss
+                input_grads = entry.backward_fn(g)
+                for t, gi in zip(entry.inputs, input_grads):
+                    if gi is None or not t.requires_grad:
+                        continue
+                    # never mutate gradient arrays in place, so sharing is safe
+                    t.grad = gi if t.grad is None else t.grad + gi
+                del g, input_grads  # a summed input's own gradient goes now
+            entry.output.grad = None  # leaves keep .grad for the optimizer
+            entry.inputs = entry.output = entry.backward_fn = None
+        return {t: t.grad for t in leaves if t.grad is not None}
 
     def _record(self, inputs: tuple[Tensor, ...], output: Tensor, backward_fn):
         output.requires_grad = True
@@ -415,6 +432,47 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _maybe_record((x,), out, backward)
 
 
+# Query rows per attention tile. A grid with at most this many query rows
+# runs as one tile over every key.
+ATTENTION_TILE = 64
+
+
+def _tile_extents(mask: np.ndarray, n_rows: int, n_keys: int) -> list[tuple[int, int, int]]:
+    """(first row, end row, key extent) per tile of ATTENTION_TILE query rows.
+
+    A tile's key extent is one past the last column any of its rows sees
+    (an additive value above MASK_NEG), so each dropped column is masked in
+    every row of the tile. A tile holding a fully masked row keeps every key.
+    """
+    if n_rows <= ATTENTION_TILE:
+        return [(0, n_rows, n_keys)]
+    seen = mask > MASK_NEG
+    blind = ~seen.any(axis=-1).all(axis=0)  # (S,): some batch row sees nothing
+    last = (n_keys - np.argmax(seen[..., ::-1], axis=-1)).max(axis=0)  # (S,)
+    tiles = []
+    for r0 in range(0, n_rows, ATTENTION_TILE):
+        r1 = min(r0 + ATTENTION_TILE, n_rows)
+        extent = n_keys if blind[r0:r1].any() else int(last[r0:r1].max())
+        tiles.append((r0, r1, extent))
+    return tiles
+
+
+def _join_rows(parts: list[np.ndarray]) -> np.ndarray:
+    """The tiles' blocks of query rows as one array."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=2)
+
+
+def _add_keys(total: np.ndarray | None, part: np.ndarray, n_keys: int) -> np.ndarray:
+    """A tile's key or value gradient, over its first part.shape[2] key
+    slots, added into the full-width sum so far (None before the first)."""
+    if total is None:
+        if part.shape[2] == n_keys:
+            return part
+        total = np.zeros(part.shape[:2] + (n_keys,) + part.shape[3:], dtype=part.dtype)
+    total[:, :, :part.shape[2]] += part
+    return total
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, scale: float,
               live: np.ndarray | None = None) -> Tensor:
     """softmax(q @ k^T * scale + mask) @ v, one op for every head.
@@ -425,51 +483,69 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, scale: float,
     as if detached, while q gets its full gradient either way. None keeps
     every pair live. Rejects non-finite scores, as softmax does.
 
-    Each pass owns one (B, H, S, T) grid and works on it in place, without
-    writing to any input: the forward turns q @ k^T into the probabilities,
-    the backward turns g @ v^T into the score gradient, and applies the live
-    grid to both only after the query gradient is taken.
+    The query rows run in tiles of ATTENTION_TILE. Each tile attends only to
+    the keys up to the last column any of its rows sees, read from the mask
+    (`_tile_extents`); under a causal mask that skips the upper triangle.
+    A dropped key is masked in every row of its tile, so its probability is
+    exactly 0 either way, but row sums and the probability-times-v product
+    run over fewer keys and may move by ulps. Scores of dropped keys are
+    never formed, so the non-finite check covers only the kept ones. A grid
+    of at most ATTENTION_TILE rows is one tile over every key.
+
+    Each tile owns its (B, H, rows, extent) grid and works on it in place,
+    without writing to any input: the forward turns q @ k^T into the
+    probabilities, the backward turns g @ v^T into the score gradient, and
+    applies the tile's slice of the live grid to both only after the query
+    gradient is taken. Key and value gradients of the tiles are added into
+    full-width arrays; the op stays one tape entry.
     """
     _check_dtype(q, k, "attention")
     _check_dtype(q, v, "attention")
     b, h, s, dh = q.shape
-    pairs = (b, s, k.shape[2])
-    if (k.shape != (b, h, pairs[2], dh) or v.shape != k.shape or np.shape(mask) != pairs
-            or (live is not None and np.shape(live) != pairs)):
+    t = k.shape[2]
+    if (k.shape != (b, h, t, dh) or v.shape != k.shape or np.shape(mask) != (b, s, t)
+            or (live is not None and np.shape(live) != (b, s, t))):
         raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape}, mask "
                          f"{np.shape(mask)} and live {np.shape(live)} do not conform")
     if live is not None:
         live = np.asarray(live, dtype=bool)[:, None]
     scale = q.dtype.type(scale)
-    probs = q.data @ k.data.swapaxes(-1, -2)
-    probs *= scale
-    probs += np.asarray(mask, dtype=q.dtype)[:, None]
-    if not np.isfinite(probs).all():
-        raise ValueError("attention: scores contain non-finite values")
-    probs -= probs.max(axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    out = _raw(probs @ v.data)
+    mask = np.asarray(mask, dtype=q.dtype)
+    tiles = _tile_extents(mask, s, t)
+    probs = []
+    for r0, r1, e in tiles:
+        p = q.data[:, :, r0:r1] @ k.data[:, :, :e].swapaxes(-1, -2)
+        p *= scale
+        p += mask[:, None, r0:r1, :e]
+        if not np.isfinite(p).all():
+            raise ValueError("attention: scores contain non-finite values")
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        probs.append(p)
+    out = _raw(_join_rows([p @ v.data[:, :, :e] for p, (_, _, e) in zip(probs, tiles)]))
 
     def backward(g):
-        gq = gk = gv = None
-        gate = None if live is None else live.astype(probs.dtype)
-        if q.requires_grad or k.requires_grad:
-            dscores = g @ v.data.swapaxes(-1, -2)
-            dscores -= (dscores * probs).sum(axis=-1, keepdims=True)
-            dscores *= probs
-            dscores *= scale
-            if q.requires_grad:
-                gq = dscores @ k.data
-            if k.requires_grad:
+        gq, gk, gv = [], None, None
+        for p, (r0, r1, e) in zip(probs, tiles):
+            g_rows = g[:, :, r0:r1]
+            gate = None if live is None else live[:, :, r0:r1, :e].astype(p.dtype)
+            if q.requires_grad or k.requires_grad:
+                dscores = g_rows @ v.data[:, :, :e].swapaxes(-1, -2)
+                dscores -= (dscores * p).sum(axis=-1, keepdims=True)
+                dscores *= p
+                dscores *= scale
+                if q.requires_grad:
+                    gq.append(dscores @ k.data[:, :, :e])
+                if k.requires_grad:
+                    if gate is not None:
+                        dscores *= gate
+                    gk = _add_keys(gk, dscores.swapaxes(-1, -2) @ q.data[:, :, r0:r1], t)
+            if v.requires_grad:
                 if gate is not None:
-                    dscores *= gate
-                gk = dscores.swapaxes(-1, -2) @ q.data
-        if v.requires_grad:
-            if gate is not None:
-                np.multiply(probs, gate, out=probs)
-            gv = probs.swapaxes(-1, -2) @ g
-        return gq, gk, gv
+                    np.multiply(p, gate, out=p)
+                gv = _add_keys(gv, p.swapaxes(-1, -2) @ g_rows, t)
+        return (_join_rows(gq) if q.requires_grad else None), gk, gv
 
     return _maybe_record((q, k, v), out, backward)
 

@@ -128,3 +128,30 @@ def split_samples(sample, tokenizer):
         out.append((np.array(context, dtype=np.int64), np.array(response, dtype=np.int64)))
         context = context + response
     return out
+
+
+def attention(q, k, v, mask, scale, live, g):
+    """Untiled attention and its q, k, v gradients for the upstream gradient g.
+
+    One (B, H, S, T) grid over every key, with the same numpy operations in
+    the same order as `tensor.attention` for a grid of at most one tile, so
+    that case compares bit for bit. live: (B, S, T) booleans or None.
+    """
+    scale = q.dtype.type(scale)
+    probs = q @ k.swapaxes(-1, -2)
+    probs *= scale
+    probs += np.asarray(mask, dtype=q.dtype)[:, None]
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    out = probs @ v
+    gate = None if live is None else np.asarray(live, dtype=bool)[:, None].astype(q.dtype)
+    dscores = g @ v.swapaxes(-1, -2)
+    dscores -= (dscores * probs).sum(axis=-1, keepdims=True)
+    dscores *= probs
+    dscores *= scale
+    gq = dscores @ k
+    if gate is not None:
+        dscores *= gate
+        probs *= gate
+    return out, gq, dscores.swapaxes(-1, -2) @ q, probs.swapaxes(-1, -2) @ g

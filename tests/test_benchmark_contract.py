@@ -20,8 +20,8 @@ import workloads  # noqa: E402
 
 # counters that only an after-hook of the workload's set-up path increments
 HOOKED = {
-    "train-midi": ("training.valid_tokens",),
-    "train-concat": ("training.valid_tokens",),
+    "train-midi": ("training.valid_tokens", "tensor.tape_entries"),
+    "train-concat": ("training.valid_tokens", "tensor.tape_entries"),
     "eval-decode": ("memory.append_calls", "generate.tokens_forwarded", "training.valid_tokens"),
     "chat-long": ("memory.append_calls", "generate.tokens_forwarded", "training.valid_tokens"),
 }

@@ -2,6 +2,8 @@
 
 import io
 import json
+import os
+import platform
 import re
 import shlex
 from pathlib import Path
@@ -41,6 +43,17 @@ def write_spec(path: Path, **over) -> Path:
     return path
 
 
+def assert_environment(manifest: dict):
+    env = manifest["environment"]
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__
+    assert isinstance(env["blas"], str) and env["blas"] != "unknown"
+    assert env["blas_env"] == {name: os.environ.get(name) for name in
+                                   ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    assert env["cpu_count"] == os.cpu_count()
+    assert 1 <= env["cpus_usable"] <= env["cpu_count"]
+
+
 @pytest.fixture
 def corpus(tmp_path):
     spec = write_spec(tmp_path / "spec.json")
@@ -76,6 +89,7 @@ class TestDataSynth:
         assert manifest["outputs"]["corpus"]["sha256"]
         assert manifest["inputs"]["spec_file"]["sha256"]
         assert manifest["config"]["corpus_spec"]["rounds_max"] == 2
+        assert_environment(manifest)
 
 
     @pytest.mark.parametrize("recipe, message", [
@@ -109,6 +123,17 @@ class TestTrain:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["train"]["mode"] == "midi"
         assert manifest["outputs"]["checkpoint"]["sha256"]
+
+    def test_manifest_records_blas_threads_as_set(self, tmp_path, corpus, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        out = tmp_path / "run"
+        assert main(["train", str(corpus), "--config", str(write_config(tmp_path / "cfg.json")),
+                     "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert_environment(manifest)
+        assert manifest["environment"]["blas_env"]["OPENBLAS_NUM_THREADS"] == "1"
+        assert manifest["environment"]["blas_env"]["MKL_NUM_THREADS"] is None
 
     def test_missing_corpus_exits_two(self, tmp_path):
         code = main(["train", str(tmp_path / "nope.jsonl"),

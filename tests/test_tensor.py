@@ -6,13 +6,18 @@ never touches the backward rules it is checking.
 """
 
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 import roletune.tensor as rt
+from roletune.data import visibility_mask
 from roletune.errors import ShapeError
 from roletune.tensor import Tape, Tensor
+from roletune.training import PackedBatch, live_pairs
+
+import _reference as ref
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +538,114 @@ class TestAttention:
         with pytest.raises(ValueError):
             rt.attention(Tensor(q), Tensor(k), Tensor(v), mask, 0.5)
 
+    # grids of more than rt.ATTENTION_TILE query rows, against the untiled
+    # formula of `_reference.attention`
+
+    def tile_operands(self, seed, b, s, t):
+        rng = np.random.default_rng(seed)
+        q = rng.standard_normal((b, self.H, s, self.D))
+        k = rng.standard_normal((b, self.H, t, self.D))
+        v = rng.standard_normal((b, self.H, t, self.D))
+        g = rng.standard_normal((b, self.H, s, self.D))
+        return q, k, v, g
+
+    def assert_matches_untiled(self, q, k, v, g, mask, live=None, frozen_k=False, atol=1e-12):
+        expected = ref.attention(q, k, v, mask, 0.5, live, g)
+        tensors = (Tensor(q, requires_grad=True), Tensor(k, requires_grad=not frozen_k),
+                   Tensor(v, requires_grad=True))
+        with Tape() as tape:
+            out = rt.attention(*tensors, mask, 0.5, live=live)
+        got = (out.data, *tape.entries[0].backward_fn(g))
+        for name, e, a in zip(("out", "q", "k", "v"), expected, got):
+            if name == "k" and frozen_k:
+                assert a is None
+                continue
+            assert a.shape == e.shape, name
+            np.testing.assert_allclose(a, e, rtol=0, atol=atol, err_msg=name)
+        return got
+
+    @staticmethod
+    def packed(width=150):
+        """Two rows: an 11-token instruction, then utterances of 5-16 tokens;
+        the second row is padded after 120 valid tokens."""
+        rng = np.random.default_rng(30)
+        segments = np.zeros((2, width), dtype=np.int64)
+        for row in segments:
+            col, seg = 11, 1
+            while col < width:
+                n = int(rng.integers(5, 17))
+                row[col:col + n] = seg
+                col, seg = col + n, seg + 1
+        validity = np.ones((2, width), dtype=bool)
+        validity[1, 120:] = False
+        tokens = np.zeros((2, width), dtype=np.int64)
+        return PackedBatch(tokens, validity, validity.copy(), segments)
+
+    @pytest.mark.parametrize("strict_cross_round", [False, True])
+    @pytest.mark.parametrize("user_sees_instruction", [True, False])
+    def test_round_masks_match_untiled(self, strict_cross_round, user_sees_instruction):
+        packed = self.packed()
+        mask = visibility_mask(packed.segments, packed.validity, packed.is_agent,
+                               packed.segments, packed.validity, 0,
+                               strict_cross_round, user_sees_instruction).astype(np.float64)
+        live = live_pairs(packed)
+        q, k, v, g = self.tile_operands(31, 2, 150, 150)
+        self.assert_matches_untiled(q, k, v, g, mask, live)
+        self.assert_matches_untiled(q, k, v, g, mask, live, frozen_k=True)
+        self.assert_matches_untiled(q, k, v, g, mask)
+
+    def test_causal_tiles_drop_the_upper_triangle(self):
+        packed = self.packed()
+        mask = visibility_mask(packed.segments, packed.validity, packed.is_agent,
+                               packed.segments, packed.validity)
+        assert rt._tile_extents(mask, 150, 150) == [(0, 64, 64), (64, 128, 128), (128, 150, 150)]
+
+    def test_decode_shaped_grid_matches_untiled(self):
+        # 90 new queries after 110 stored slots
+        packed = self.packed(200)
+        stored = 110
+        new = slice(stored, None)
+        mask = visibility_mask(packed.segments[:, new], packed.validity[:, new],
+                               packed.is_agent[:, new], packed.segments, packed.validity,
+                               stored).astype(np.float64)
+        q, k, v, g = self.tile_operands(32, 2, 90, 200)
+        assert [e for _, _, e in rt._tile_extents(mask, 90, 200)] == [174, 200]
+        self.assert_matches_untiled(q, k, v, g, mask)
+
+    def test_non_causal_mask_matches_untiled(self):
+        rng = np.random.default_rng(33)
+        visible = rng.random((2, 150, 150)) < 0.3
+        visible[:, np.arange(150), np.arange(150)] = True
+        visible[:, :64, 64:] = False
+        visible[1, 10, 100] = True  # a key past the diagonal decides tile 0's extent
+        mask = np.where(visible, 0.0, rt.MASK_NEG)
+        live = rng.random((2, 150, 150)) < 0.5
+        assert rt._tile_extents(mask, 150, 150)[0] == (0, 64, 101)
+        q, k, v, g = self.tile_operands(34, 2, 150, 150)
+        self.assert_matches_untiled(q, k, v, g, mask, live)
+
+    def test_fully_masked_row_keeps_every_key(self):
+        visible = np.tril(np.ones((150, 150), dtype=bool))
+        mask = np.where(np.stack([visible, visible]), 0.0, rt.MASK_NEG)
+        mask[1, 70, :] = rt.MASK_NEG
+        assert [e for _, _, e in rt._tile_extents(mask, 150, 150)] == [64, 150, 150]
+        q, k, v, g = self.tile_operands(35, 2, 150, 150)
+        out = self.assert_matches_untiled(q, k, v, g, mask)[0]
+        assert np.isfinite(out).all()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_tile_equals_the_untiled_formula_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(36)
+        visible = rng.random((2, 64, 100)) < 0.6
+        visible[:, :, 0] = True
+        mask = np.where(visible, np.float32(0.0), np.float32(rt.MASK_NEG))
+        live = rng.random((2, 64, 100)) < 0.5
+        q, k, v, g = (a.astype(dtype) for a in self.tile_operands(37, 2, 64, 100))
+        expected = ref.attention(q, k, v, mask, 0.5, live, g)
+        got = self.assert_matches_untiled(q, k, v, g, mask, live, atol=0)
+        for e, a in zip(expected, got):
+            assert e.tobytes() == a.tobytes()
+
 
 # ---------------------------------------------------------------------------
 # cross entropy
@@ -895,6 +1008,46 @@ class TestTape:
         tape.backward(z)
         assert y.grad is None
         assert z.grad is None
+
+    def test_backward_frees_intermediates_while_tape_is_held(self):
+        x = Tensor(np.linspace(-1.0, 1.0, 5), requires_grad=True)
+        with Tape() as tape:
+            y = rt.silu(x * x)
+            loss = (y * y).sum()
+        probe = weakref.ref(y.data)
+        del y
+        tape.backward(loss)
+        assert probe() is None
+        assert x.grad is not None
+
+    def test_later_output_grads_are_freed_before_each_backward(self):
+        x = Tensor(np.linspace(-1.0, 1.0, 5), requires_grad=True)
+        with Tape() as tape:
+            y = x * x
+            loss = (rt.silu(y) * y + x).sum()
+        outputs = [entry.output for entry in tape.entries]
+        ran = []
+        for i, entry in enumerate(tape.entries):
+            def checked(g, i=i, backward_fn=entry.backward_fn):
+                assert all(out.grad is None for out in outputs[i + 1:])
+                ran.append(i)
+                return backward_fn(g)
+            entry.backward_fn = checked
+        tape.backward(loss)
+        assert ran == list(range(len(outputs)))[::-1]
+
+    def test_backward_keeps_entry_count_and_leaf_order(self):
+        a, b, c = (Tensor(np.full(3, v), requires_grad=True) for v in (1.0, 2.0, 3.0))
+        frozen = Tensor(np.full(3, 4.0))
+        with Tape() as tape:
+            loss = (b * c + frozen * a * b).sum()  # first read: b, c, then a
+        recorded = len(tape.entries)
+        grads = tape.backward(loss)
+        assert len(tape.entries) == recorded == 5
+        assert len(grads) == 3
+        assert all(got is want for got, want in zip(grads, (b, c, a)))
+        with pytest.raises(RuntimeError):
+            tape.backward(loss)
 
 
 # ---------------------------------------------------------------------------
