@@ -5,11 +5,13 @@ the model exactly as training laid them out (each utterance one segment, run
 under its speaker's deltas) and collects the key/value slots. Generation then
 extends the memory token by token: every sampled token is forwarded as one
 more slot of its reply's segment and appended, so the next step attends to it
-through the cache instead of re-reading the whole context; the new memory
-keeps the K/V that forward attended over, so the store is copied once per
-token and the memory it grew from is left whole. Each slot sees what it saw
-in training: the memory applies training's visibility rule under the regime
-the adapters were trained in (`RoleAdapters.regime`).
+through the cache instead of re-reading the whole context. The forward writes
+the token's K/V into the memory's preallocated store and the new memory
+adopts that slot, so a decoded token copies no stored slot, and the memory it
+grew from is left whole: a later append from it (evaluation's gold reply)
+moves its slots to a fresh store once. Each slot sees what it saw in
+training: the memory applies training's visibility rule under the regime the
+adapters were trained in (`RoleAdapters.regime`).
 
 Every segment runs on its speaker's merged weights (`Transformer.merge_role`):
 each decode call merges the deltas once, W + (alpha/r) * B @ A, and forwards
@@ -107,7 +109,9 @@ def sample_from_logits(logits: np.ndarray, rng: np.random.Generator,
 def _forward_slots(model, regime: dict, memory: RoundMemory, token_ids, role: str,
                    segment: int, what: str):
     """Run one fully-valid batch=1 segment on `model`, merged for `role`,
-    against the memory under `regime`; returns (final logits row, memory')."""
+    against the memory under `regime`; returns (final logits row, memory').
+    The forward writes the segment's K/V into the memory's store and
+    memory' adopts them (`RoundMemory.append`)."""
     seg = np.asarray(token_ids, dtype=np.int64)[None, :]
     validity = np.ones(seg.shape, dtype=bool)
     positions = memory.next_positions(validity)

@@ -5,12 +5,13 @@ low-rank deltas ("agent" and "user") applied to attention projections. The
 block structure is pre-RMS-norm attention + SiLU feed-forward with rotary
 position embeddings and an LM head tied to the token embedding.
 
-`forward_segment` runs one grid of tokens, optionally against a store of
-previously cached key/value slots, and returns the logits plus the K/V it
-attended over, the cached slots then the grid's, which a decoder keeps as its
-next cache. Each token runs under one role's deltas: the whole grid under one
-role, or a per-token role grid, which is how training runs a whole dialogue in
-one pass. Which cached or earlier slots a token reads is the caller's mask;
+`forward_segment` runs one grid of tokens, optionally against a round
+memory's cached key/value slots, and returns the logits plus the K/V it
+attended over, the cached slots then the grid's. A cached forward writes the
+grid's K/V into the memory's preallocated store and attends over a view, so
+the memory's next append keeps them without a copy. Each token runs under one
+role's deltas: the whole grid under one role, or a per-token role grid, which
+is how training runs a whole dialogue in one pass. Which cached or earlier slots a token reads is the caller's mask;
 which of those reads carry key/value gradient is the caller's live grid.
 """
 
@@ -24,6 +25,7 @@ import numpy as np
 from . import tensor as rt
 from .data import visibility_mask
 from .errors import CapacityError, ConfigError, ShapeError
+from .memory import MemoryLayers
 from .rng import labeled_rng
 from .tensor import Tensor
 
@@ -298,7 +300,7 @@ class Transformer:
     def forward_segment(self, tokens: np.ndarray, positions: np.ndarray,
                         role: str | np.ndarray,
                         adapters: RoleAdapters | None = None,
-                        cache: list[tuple[np.ndarray, np.ndarray]] | None = None,
+                        cache: MemoryLayers | None = None,
                         mask: np.ndarray | None = None,
                         live: np.ndarray | None = None):
         """Run one grid of tokens through all layers.
@@ -306,9 +308,13 @@ class Transformer:
         tokens, positions: (batch, seg) integer grids. role: "user" or
         "agent" runs every token under that role's deltas; a (batch, seg)
         boolean grid routes each token, True to the agent deltas and False
-        to the user deltas. cache: per-layer (K, V) arrays of shape (batch,
-        heads, stored, head_dim), already rotated; they are plain data and
-        never receive gradient. mask: additive attention mask (batch, seg,
+        to the user deltas. cache: a round memory's `layers`, per-layer (K,
+        V) slots of shape (batch, heads, stored, head_dim), already rotated.
+        Each layer writes the grid's K/V into the memory's store after the
+        stored slots (`MemoryLayers.attend`) and attends over a view of
+        both, so no stored slot is copied. Cached slots, the grid's among
+        them, are plain data and never receive gradient, so a cached forward
+        runs outside a tape. mask: additive attention mask (batch, seg,
         stored+seg) with 0 for visible and a large negative value for
         blocked slots. With no cache and no mask the grid is read as one
         all-valid segment under `data.visibility_mask`, which is causal.
@@ -318,9 +324,10 @@ class Transformer:
         keys and values act as detached. None keeps every pair live.
 
         Returns (logits Tensor (batch, seg, vocab), kv): a per-layer list of
-        the live (K, V) tensors attended over, (batch, heads, stored+seg,
-        head_dim), the cache's slots first and then the grid's; storing them
-        in a round memory detaches them.
+        the (K, V) tensors attended over, (batch, heads, stored+seg,
+        head_dim), the cache's slots first and then the grid's. Without a
+        cache they are the grid's live tensors; with one they are views of
+        the memory's store, which `RoundMemory.append` adopts as they are.
         """
         c = self.config
         tokens = np.asarray(tokens)
@@ -377,9 +384,12 @@ class Transformer:
             q = rope_apply(self._split_heads(proj("q", x), batch, seg), positions, c.rope_base)
             k = rope_apply(self._split_heads(proj("k", x), batch, seg), positions, c.rope_base)
             v = self._split_heads(proj("v", x), batch, seg)
-            if stored:
-                k = rt.concat([Tensor(cache[i][0]), k], axis=2)
-                v = rt.concat([Tensor(cache[i][1]), v], axis=2)
+            if cache is not None:
+                if k.requires_grad or v.requires_grad:
+                    raise ConfigError("a cached forward keeps its keys and values as plain "
+                                      "data, so it carries no key/value gradient; run it "
+                                      "outside a tape")
+                k, v = (rt.constant(a) for a in cache.attend(i, k.data, v.data))
             kv.append((k, v))
 
             ctx = rt.attention(q, k, v, mask, scale, live=live)

@@ -234,6 +234,12 @@ def _raw(data) -> Tensor:
     return out
 
 
+def constant(data: np.ndarray) -> Tensor:
+    """An untracked tensor over `data` itself: a strided view stays a view,
+    where `Tensor(data)` would copy it into contiguous storage."""
+    return _raw(data)
+
+
 # ---------------------------------------------------------------------------
 # elementwise ops (leading-axis repetition only)
 # ---------------------------------------------------------------------------
@@ -444,8 +450,6 @@ def _tile_extents(mask: np.ndarray, n_rows: int, n_keys: int) -> list[tuple[int,
     (an additive value above MASK_NEG), so each dropped column is masked in
     every row of the tile. A tile holding a fully masked row keeps every key.
     """
-    if n_rows <= ATTENTION_TILE:
-        return [(0, n_rows, n_keys)]
     seen = mask > MASK_NEG
     blind = ~seen.any(axis=-1).all(axis=0)  # (S,): some batch row sees nothing
     last = (n_keys - np.argmax(seen[..., ::-1], axis=-1)).max(axis=0)  # (S,)
@@ -455,11 +459,6 @@ def _tile_extents(mask: np.ndarray, n_rows: int, n_keys: int) -> list[tuple[int,
         extent = n_keys if blind[r0:r1].any() else int(last[r0:r1].max())
         tiles.append((r0, r1, extent))
     return tiles
-
-
-def _join_rows(parts: list[np.ndarray]) -> np.ndarray:
-    """The tiles' blocks of query rows as one array."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=2)
 
 
 def _add_keys(total: np.ndarray | None, part: np.ndarray, n_keys: int) -> np.ndarray:
@@ -473,6 +472,45 @@ def _add_keys(total: np.ndarray | None, part: np.ndarray, n_keys: int) -> np.nda
     return total
 
 
+def _tile_probs(q: np.ndarray, k: np.ndarray, mask: np.ndarray, scale) -> np.ndarray:
+    """One tile's probabilities, softmax(q @ k^T * scale + mask), formed in
+    place in the tile's own (B, H, rows, keys) grid."""
+    p = q @ k.swapaxes(-1, -2)
+    p *= scale
+    p += mask[:, None]
+    if not np.isfinite(p).all():
+        raise ValueError("attention: scores contain non-finite values")
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
+
+
+def _tile_grads(p, g, q, k, v, gate, scale, needs):
+    """One tile's (gq, gk, gv) for its upstream gradient g, each None where
+    `needs` says its input takes no gradient. The tile's probabilities p
+    become the score gradient's workspace, and the gate (the tile's live
+    grid or None) applies to both only after gq is taken."""
+    need_q, need_k, need_v = needs
+    gq = gk = gv = None
+    if need_q or need_k:
+        dscores = g @ v.swapaxes(-1, -2)
+        dscores -= (dscores * p).sum(axis=-1, keepdims=True)
+        dscores *= p
+        dscores *= scale
+        if need_q:
+            gq = dscores @ k
+        if need_k:
+            if gate is not None:
+                dscores *= gate
+            gk = dscores.swapaxes(-1, -2) @ q
+    if need_v:
+        if gate is not None:
+            np.multiply(p, gate, out=p)
+        gv = p.swapaxes(-1, -2) @ g
+    return gq, gk, gv
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, scale: float,
               live: np.ndarray | None = None) -> Tensor:
     """softmax(q @ k^T * scale + mask) @ v, one op for every head.
@@ -483,14 +521,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, scale: float,
     as if detached, while q gets its full gradient either way. None keeps
     every pair live. Rejects non-finite scores, as softmax does.
 
-    The query rows run in tiles of ATTENTION_TILE. Each tile attends only to
-    the keys up to the last column any of its rows sees, read from the mask
+    A grid of at most ATTENTION_TILE query rows, every decoding step among
+    them, runs straight through as one tile over every key. A larger grid
+    runs in tiles of ATTENTION_TILE rows. Each tile attends only to the keys
+    up to the last column any of its rows sees, read from the mask
     (`_tile_extents`); under a causal mask that skips the upper triangle.
     A dropped key is masked in every row of its tile, so its probability is
     exactly 0 either way, but row sums and the probability-times-v product
     run over fewer keys and may move by ulps. Scores of dropped keys are
-    never formed, so the non-finite check covers only the kept ones. A grid
-    of at most ATTENTION_TILE rows is one tile over every key.
+    never formed, so the non-finite check covers only the kept ones.
 
     Each tile owns its (B, H, rows, extent) grid and works on it in place,
     without writing to any input: the forward turns q @ k^T into the
@@ -511,41 +550,38 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, scale: float,
         live = np.asarray(live, dtype=bool)[:, None]
     scale = q.dtype.type(scale)
     mask = np.asarray(mask, dtype=q.dtype)
+
+    def needs():
+        return q.requires_grad, k.requires_grad, v.requires_grad
+
+    if s <= ATTENTION_TILE:
+        p = _tile_probs(q.data, k.data, mask, scale)
+        out = _raw(p @ v.data)
+
+        def backward(g):
+            gate = None if live is None else live.astype(p.dtype)
+            return _tile_grads(p, g, q.data, k.data, v.data, gate, scale, needs())
+
+        return _maybe_record((q, k, v), out, backward)
+
     tiles = _tile_extents(mask, s, t)
-    probs = []
-    for r0, r1, e in tiles:
-        p = q.data[:, :, r0:r1] @ k.data[:, :, :e].swapaxes(-1, -2)
-        p *= scale
-        p += mask[:, None, r0:r1, :e]
-        if not np.isfinite(p).all():
-            raise ValueError("attention: scores contain non-finite values")
-        p -= p.max(axis=-1, keepdims=True)
-        np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
-        probs.append(p)
-    out = _raw(_join_rows([p @ v.data[:, :, :e] for p, (_, _, e) in zip(probs, tiles)]))
+    probs = [_tile_probs(q.data[:, :, r0:r1], k.data[:, :, :e], mask[:, r0:r1, :e], scale)
+             for r0, r1, e in tiles]
+    out = _raw(np.concatenate([p @ v.data[:, :, :e] for p, (_, _, e) in zip(probs, tiles)],
+                              axis=2))
 
     def backward(g):
         gq, gk, gv = [], None, None
         for p, (r0, r1, e) in zip(probs, tiles):
-            g_rows = g[:, :, r0:r1]
             gate = None if live is None else live[:, :, r0:r1, :e].astype(p.dtype)
-            if q.requires_grad or k.requires_grad:
-                dscores = g_rows @ v.data[:, :, :e].swapaxes(-1, -2)
-                dscores -= (dscores * p).sum(axis=-1, keepdims=True)
-                dscores *= p
-                dscores *= scale
-                if q.requires_grad:
-                    gq.append(dscores @ k.data[:, :, :e])
-                if k.requires_grad:
-                    if gate is not None:
-                        dscores *= gate
-                    gk = _add_keys(gk, dscores.swapaxes(-1, -2) @ q.data[:, :, r0:r1], t)
-            if v.requires_grad:
-                if gate is not None:
-                    np.multiply(p, gate, out=p)
-                gv = _add_keys(gv, p.swapaxes(-1, -2) @ g_rows, t)
-        return (_join_rows(gq) if q.requires_grad else None), gk, gv
+            tq, tk, tv = _tile_grads(p, g[:, :, r0:r1], q.data[:, :, r0:r1],
+                                     k.data[:, :, :e], v.data[:, :, :e], gate, scale, needs())
+            gq.append(tq)
+            if tk is not None:
+                gk = _add_keys(gk, tk, t)
+            if tv is not None:
+                gv = _add_keys(gv, tv, t)
+        return (np.concatenate(gq, axis=2) if q.requires_grad else None), gk, gv
 
     return _maybe_record((q, k, v), out, backward)
 

@@ -39,3 +39,20 @@ def test_traced_setup_fires_every_hook(name, tmp_path):
     for counter in HOOKED[name]:
         assert tracer.counters[counter] > 0, counter
     assert tracer.counters["model.forward_segment_calls"] > 0
+
+
+@pytest.mark.parametrize("name", ["chat-long", "eval-decode"])
+def test_mask_shapes_read_the_stored_slot_count(name, tmp_path):
+    # set-up primes one memory from empty and decodes one reply over it:
+    # one chain, so the widest mask a forward_segment call is counted with
+    # spans every slot forwarded (T = stored + seg). A cache that showed the
+    # tracer more than the stored slots would widen it.
+    workload = workloads.WORKLOADS[name]
+    tracer = Tracer()
+    with Patch() as patch:
+        install(patch, tracer)
+        workload.setup(0, tmp_path)
+        shapes = dict(tracer.shapes["model.mask_bytes"])
+        forwarded = tracer.counters["generate.tokens_forwarded"]
+    assert forwarded > 0
+    assert max(total for _, _, _, total in shapes) == forwarded

@@ -215,6 +215,37 @@ class TestPaddingNeutrality:
         np.testing.assert_allclose(batched[0][1, :3], solo_b[0][0], atol=1e-6)
 
 
+class TestPaddedBatchF64:
+    def test_padded_batch_rows_match_their_full_passes(self):
+        # three rows padded differently, a prefill, turns and one-token
+        # steps under alternating roles, at f64; the memory's store grows
+        # twice on the way
+        rng = np.random.default_rng(600)
+        model, adapters = make_model(seed=41, dtype=np.float64)
+        lengths = [6, 4, 1, 1, 5, 1, 1, 1, 3, 1, 2, 1]
+        roles = ["agent", "user", "user", "user", "agent", "agent",
+                 "agent", "agent", "user", "user", "agent", "agent"]
+        segments, validities = [], []
+        for ln in lengths:
+            validity = rng.random((3, ln)) < 0.75
+            segments.append(np.where(validity, rng.integers(1, CFG.vocab_size, size=(3, ln)), 0))
+            validities.append(validity.astype(np.int64))
+        parts, mem = run_segmented(model, adapters, segments, roles, validities)
+        assert mem.stored == sum(lengths) and mem.capacity >= mem.stored
+
+        logits = np.concatenate(parts, axis=1)
+        validity = np.concatenate(validities, axis=1).astype(bool)
+        is_agent = np.concatenate([np.full(ln, r == "agent") for ln, r in zip(lengths, roles)])
+        tokens = np.concatenate(segments, axis=1)
+        for b in range(3):
+            keep = validity[b]
+            n = int(keep.sum())
+            full, _ = model.forward_segment(tokens[b, keep][None, :], np.arange(n)[None, :],
+                                            is_agent[keep][None, :], adapters)
+            np.testing.assert_allclose(logits[b, keep], full.data[0], atol=1e-10)
+        np.testing.assert_array_equal(mem.counts, validity.sum(axis=1))
+
+
 class TestDecodingRegime:
     """Priming plus token-by-token replies decode under the regime the
     adapters carry, so they reproduce the logits of the training pass."""

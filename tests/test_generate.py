@@ -301,6 +301,58 @@ class TestCacheGrowth:
         np.testing.assert_array_equal(branch.counts, fresh.counts)
 
 
+    def test_a_reply_grows_in_the_primed_store(self):
+        # prime, a user turn and a reply are one chain: while the store has
+        # room, every memory of it views one K and one V buffer per layer
+        model, adapters = make_model(seed=8)
+        primed = prime_memory(model, adapters, TOK, "persona kavo", [])
+        mem = extend_memory(model, adapters, TOK, primed, "user", "how")
+        _, grown = generate_response(model, adapters, TOK, mem, "agent",
+                                     GenerationConfig(max_new_tokens=4, seed=1))
+        assert grown.stored > mem.stored and grown.capacity == primed.capacity
+        for (k, v), (k_grown, v_grown) in zip(primed.layers, grown.layers):
+            assert np.shares_memory(k, k_grown) and np.shares_memory(v, v_grown)
+
+    def test_failed_cached_forward_leaves_the_memory_usable(self):
+        model, adapters = make_model(seed=8)
+        mem = prime_memory(model, adapters, TOK, "persona kavo", [("user", "how why")])
+        before = ([(k.tobytes(), v.tobytes()) for k, v in mem.layers],
+                  mem.validity.tobytes(), mem.segments.tobytes(), mem.counts.tobytes())
+        agent = model.merge_role(adapters, "agent")
+        validity = np.ones((1, 1), dtype=bool)
+        mask = mem.build_mask(validity, mem.next_segment, "agent")
+        mask[0, 0, 0] = np.nan  # a non-finite score: attention refuses it
+        with pytest.raises(ValueError, match="non-finite"):
+            agent.forward_segment(np.array([[ByteTokenizer.ROLE_AGENT]]),
+                                  mem.next_positions(validity), "agent",
+                                  cache=mem.layers, mask=mask)
+        assert ([(k.tobytes(), v.tobytes()) for k, v in mem.layers],
+                mem.validity.tobytes(), mem.segments.tobytes(),
+                mem.counts.tobytes()) == before
+
+        cfg = GenerationConfig(max_new_tokens=6, seed=3)
+        reply, after = generate_response(model, adapters, TOK, mem, "agent", cfg)
+        fresh = prime_memory(model, adapters, TOK, "persona kavo", [("user", "how why")])
+        want, want_after = generate_response(model, adapters, TOK, fresh, "agent", cfg)
+        assert reply.ids == want.ids
+        for (k, v), (k_want, v_want) in zip(after.layers, want_after.layers):
+            assert k.tobytes() == k_want.tobytes() and v.tobytes() == v_want.tobytes()
+
+    def test_cached_forward_under_a_tape_rejected(self):
+        # the memory keeps K/V as plain data, so a cached forward carries no
+        # key/value gradient; one under a tape would drop it silently
+        from roletune.tensor import Tape
+
+        model, adapters = make_model(seed=8)
+        mem = prime_memory(model, adapters, TOK, "persona kavo", [])
+        validity = np.ones((1, 1), dtype=bool)
+        with Tape(), pytest.raises(ConfigError, match="outside a tape"):
+            model.forward_segment(np.array([[ByteTokenizer.ROLE_AGENT]]),
+                                  mem.next_positions(validity), "agent", adapters,
+                                  cache=mem.layers,
+                                  mask=mem.build_mask(validity, mem.next_segment, "agent"))
+
+
 class TestMergedDecoding:
     """Decoding runs each role on its merged weights, W + (alpha/r) B A."""
 

@@ -63,14 +63,13 @@ class TestAppend:
             mem.validity[0, 0] = False
 
     def test_mutating_source_after_append_leaves_memory_unchanged(self):
-        # the memory takes ownership of the arrays it is given: a write
-        # through the caller's reference is refused
+        # arrays the store did not hand out are copied in, so a write
+        # through the caller's reference does not reach the memory
         rng = np.random.default_rng(4)
         seg_kv = make_segment(rng)
         mem = RoundMemory.empty(2, 2, 2, 4).append(seg_kv, np.ones((2, 3)), 0)
         before = mem.layers[0][0].copy()
-        with pytest.raises(ValueError):
-            seg_kv[0][0][:] = 0.0
+        seg_kv[0][0][:] = 0.0
         np.testing.assert_array_equal(mem.layers[0][0], before)
 
     def test_batch_mismatch_rejected(self):
@@ -226,3 +225,159 @@ class TestBuildMask:
         )
         mask = mem.build_mask(np.array([[1, 1], [1, 0]]), mem.next_segment, "user")
         assert set(np.unique(mask)) <= {0.0, np.float32(MASK_NEG)}
+
+
+def cached_step(mem, new, validity, segment):
+    """What a cached forward does with the new slots `new` (per-layer (K, V)
+    of the segment alone): write each layer through `layers.attend`, then
+    append the views it attended over."""
+    layers = mem.layers
+    kv = [layers.attend(i, k, v) for i, (k, v) in enumerate(new)]
+    return mem.append(kv, validity, segment)
+
+
+def expected_state(steps):
+    """Slots, validity, segment ids and counts that the chain of (new,
+    validity, segment) steps leaves, built by concatenation."""
+    layers = [(np.concatenate([new[i][0] for new, _, _ in steps], axis=2),
+               np.concatenate([new[i][1] for new, _, _ in steps], axis=2))
+              for i in range(len(steps[0][0]))]
+    validity = np.concatenate([np.asarray(v, dtype=bool) for _, v, _ in steps], axis=1)
+    segments = np.concatenate([np.full(v.shape[1], s) for _, v, s in steps])
+    return layers, validity, segments, validity.sum(axis=1)
+
+
+def assert_holds(mem, steps):
+    layers, validity, segments, counts = expected_state(steps)
+    assert mem.stored == validity.shape[1]
+    for (k, v), (k_want, v_want) in zip(mem.layers, layers, strict=True):
+        assert k.tobytes() == k_want.tobytes() and v.tobytes() == v_want.tobytes()
+    assert mem.validity.tobytes() == validity.tobytes()
+    np.testing.assert_array_equal(mem.segments, segments)
+    np.testing.assert_array_equal(mem.counts, counts)
+
+
+def replay(steps, batch=2):
+    mem = RoundMemory.empty(batch, 2, 2, 4)
+    for new, validity, segment in steps:
+        mem = cached_step(mem, new, validity, segment)
+    return mem
+
+
+class TestStore:
+    """Memories grown from one another share one preallocated store; a
+    memory that is not its store's tip, or whose store is full, moves its
+    own slots to a fresh store once."""
+
+    @staticmethod
+    def steps(seed, lengths, batch=2, first_segment=0, padded=False):
+        rng = np.random.default_rng(seed)
+        out = []
+        for j, seg in enumerate(lengths):
+            validity = (rng.random((batch, seg)) < 0.7) if padded else np.ones((batch, seg))
+            out.append((make_segment(rng, batch=batch, seg=seg), validity, first_segment + j))
+        return out
+
+    def test_linear_chain_shares_one_buffer(self):
+        steps = self.steps(20, [6, 1, 1, 2, 1])
+        mem = RoundMemory.empty(2, 2, 2, 4)
+        chain = []
+        for new, validity, segment in steps:
+            mem = cached_step(mem, new, validity, segment)
+            chain.append(mem)
+        assert chain[-1].stored <= chain[0].capacity  # the first move left room
+        for earlier in chain[:-1]:
+            for (k, v), (k_last, v_last) in zip(earlier.layers, chain[-1].layers):
+                assert np.shares_memory(k, k_last) and np.shares_memory(v, v_last)
+        for i, mem in enumerate(chain):
+            assert_holds(mem, steps[:i + 1])
+
+    @pytest.mark.parametrize("order", ["a_first", "b_first"])
+    def test_branches_from_an_older_memory_equal_fresh_replays(self, order):
+        trunk = self.steps(21, [5, 3])
+        later = self.steps(22, [2], first_segment=2)
+        branch_a = self.steps(23, [4, 1], first_segment=2)
+        branch_b = self.steps(24, [1, 1, 1], first_segment=2)
+        base = replay(trunk)
+        tip = cached_step(base, *later[0])  # base is no longer its store's tip
+        grown = {}
+        for name in (("a", "b") if order == "a_first" else ("b", "a")):
+            mem = base
+            for step in {"a": branch_a, "b": branch_b}[name]:
+                mem = cached_step(mem, *step)
+            grown[name] = mem
+        for mem, steps in ((base, trunk), (tip, trunk + later),
+                           (grown["a"], trunk + branch_a), (grown["b"], trunk + branch_b)):
+            assert_holds(mem, steps)
+            fresh = replay(steps)
+            for (k, v), (k_fresh, v_fresh) in zip(mem.layers, fresh.layers):
+                assert k.tobytes() == k_fresh.tobytes() and v.tobytes() == v_fresh.tobytes()
+
+    def test_growth_past_capacity_keeps_every_slot(self):
+        steps = self.steps(25, [3, 2, 1, 1, 4, 1, 1, 1, 7, 1, 2, 9, 1], padded=True)
+        mem = RoundMemory.empty(2, 2, 2, 4)
+        chain, capacities = [], set()
+        for new, validity, segment in steps:
+            mem = cached_step(mem, new, validity, segment)
+            chain.append(mem)
+            capacities.add(mem.capacity)
+        assert len(capacities) >= 3  # the store grew at least twice
+        for i, mem in enumerate(chain):
+            assert_holds(mem, steps[:i + 1])
+
+    def test_foreign_arrays_are_copied_in(self):
+        # arrays the store did not hand out, stored slots included, as
+        # attended_kv builds them
+        steps = self.steps(26, [4, 2, 3])
+        mem = replay(steps[:1])
+        for new, validity, segment in steps[1:]:
+            mem = mem.append(attended_kv(mem.layers, new), validity, segment)
+        assert_holds(mem, steps)
+
+    def test_a_second_write_from_one_memory_keeps_the_first(self):
+        # two cached forwards from one memory before either appends: the
+        # second writes into a fresh store, so the first's slots survive
+        steps = self.steps(27, [4])
+        (new_a, val_a, seg_a), (new_b, val_b, seg_b) = self.steps(28, [2, 2], first_segment=1)
+        base = replay(steps)
+        layers_a, layers_b = base.layers, base.layers
+        kv_a = [layers_a.attend(i, k, v) for i, (k, v) in enumerate(new_a)]
+        kv_b = [layers_b.attend(i, k, v) for i, (k, v) in enumerate(new_b)]
+        mem_b = base.append(kv_b, val_b, seg_b)
+        mem_a = base.append(kv_a, val_a, seg_a)
+        assert_holds(base, steps)
+        assert_holds(mem_a, steps + [(new_a, val_a, seg_a)])
+        assert_holds(mem_b, steps + [(new_b, val_b, seg_b)])
+
+    def test_a_later_memorys_write_appended_to_an_earlier_one_is_copied(self):
+        # the write began at the later memory's end, so the earlier memory
+        # copies it instead of adopting it over the later memory's slots
+        steps = self.steps(31, [6, 2], padded=True)
+        (new, _, segment), = self.steps(32, [2], first_segment=2)
+        base = replay(steps[:1])
+        later = cached_step(base, *steps[1])
+        assert later.stored + 2 <= later.capacity  # one store throughout
+        layers = later.layers
+        kv = [layers.attend(i, k, v) for i, (k, v) in enumerate(new)]
+        whole = [(np.concatenate([k_b, k_n], axis=2), np.concatenate([v_b, v_n], axis=2))
+                 for (k_b, v_b), (k_n, v_n) in zip(steps[1][0], new)]
+        grown = base.append(kv, np.ones((2, 4)), segment)
+        assert_holds(later, steps)
+        assert_holds(grown, steps[:1] + [(whole, np.ones((2, 4)), segment)])
+
+    def test_attend_rejects_a_mismatched_segment(self):
+        rng = np.random.default_rng(29)
+        mem = replay(self.steps(29, [3]))
+        with pytest.raises(ShapeError):
+            mem.layers.attend(0, *make_segment(rng, batch=1, n_layers=1)[0])
+
+    def test_mask_from_an_older_memory_leaves_later_ones_whole(self):
+        # build_mask writes the incoming segment's bookkeeping into free
+        # slots only: an older memory moves its own slots first
+        steps = self.steps(30, [4, 3], padded=True)
+        base = replay(steps[:1])
+        tip = cached_step(base, *steps[1])
+        assert base.stored + 2 <= base.capacity  # room, but not base's
+        base.build_mask(np.zeros((2, 2)), 7, "user")
+        assert_holds(tip, steps)
+        assert_holds(base, steps[:1])
