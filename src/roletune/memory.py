@@ -11,15 +11,15 @@ the rule training uses (`data.visibility_mask`, `data.position_ids`).
 The slots live in a preallocated store, one K and one V buffer per layer
 plus validity and segment-id buffers, which a chain of memories grown from
 one another shares. Each memory views its own first `stored` slots; the
-store's tip is where its newest memory ends. A cached forward
-(`Transformer.forward_segment` with `cache=memory.layers`) writes the new
-segment's K/V into the free slots after the tip and attends over a view, and
-`append` adopts those slots: a decoded token copies no stored slot. Appends
-stay functional. A memory that is not the tip (a branch point, such as the
-pre-reply memory evaluation extends with the gold reply) or whose store is
-full first copies its own slots once into a fresh store with room for twice
-the slots the append needs, so every memory ever handed out keeps its
-contents.
+store's tip is where its newest memory ends. A memory starts `empty` and
+grows only through a cached forward: `Transformer.forward_segment` with
+`cache=memory.layers` writes the new segment's K/V into the free slots after
+the tip and attends over a view, and `append` adopts those slots, so a
+decoded token copies no stored slot. Appends stay functional. A memory that
+is not the tip (a branch point, such as the pre-reply memory evaluation
+extends with the gold reply) or whose store is full first copies its own
+slots once into a fresh store with room for twice the slots the write needs,
+so every memory ever handed out keeps its contents.
 """
 
 from __future__ import annotations
@@ -102,19 +102,21 @@ class MemoryLayers(Sequence):
         """Write layer i's new slots k, v (batch, heads, seg, head_dim) after
         the stored ones; return that layer's K and V over stored+seg.
 
-        Layer 0's call claims the slots (`RoundMemory._claim`), moving the
-        memory's slots to a fresh store first if they are not free; the
-        other layers write into the same store.
+        Layer 0's call claims the slots for this write, moving the memory's
+        slots to a fresh store first if they are not free
+        (`RoundMemory._room`); the other layers write into the same store.
         """
         memory = self._memory
         n, seg = memory.stored, k.shape[2]
+        end = n + seg
         b, h, dh = memory._store.slot_shape
         if k.shape != (b, h, seg, dh) or v.shape != k.shape:
             raise ShapeError(f"segment keys {k.shape} and values {v.shape} vs memory "
                              f"slots {(b, h, dh)}")
         if i == 0:
-            self._target = memory._claim(seg)
-        store, end = self._target, n + seg
+            self._target = memory._room(seg)
+            self._target.claim_start, self._target.tip = n, end
+        store = self._target
         store.k[i][:, :, n:end] = k
         store.v[i][:, :, n:end] = v
         return store.k[i][:, :, :end], store.v[i][:, :, :end]
@@ -127,45 +129,20 @@ class RoundMemory:
     head_dim); validity: (batch, stored) booleans; counts: (batch,)
     valid-token totals (also each sequence's next position id); segments:
     (stored,) the dialogue segment of each slot, shared across the batch — 0
-    is the instruction, then one id per utterance in order. The constructor
-    copies the arrays it is given into a fresh store.
+    is the instruction, then one id per utterance in order. A memory starts
+    `empty` and grows only by `append`, which adopts the slots its own cached
+    forward wrote. The constructor is internal: it views the first `stored`
+    slots of a store.
     """
 
-    def __init__(self, layers, validity, counts, segments):
-        validity = np.asarray(validity).astype(bool)
-        counts, segments = np.asarray(counts, np.int64), np.asarray(segments, np.int64)
-        layers = [(np.asarray(k), np.asarray(v)) for k, v in layers]
-        b, m = validity.shape
-        if counts.shape != (b,):
-            raise ShapeError(f"counts shape {counts.shape} vs batch {b}")
-        if segments.shape != (m,):
-            raise ShapeError(f"segments shape {segments.shape} vs stored length {m}")
-        for k, v in layers:
-            if k.shape != v.shape:
-                raise ShapeError(f"key/value shapes differ: {k.shape} vs {v.shape}")
-            if k.ndim != 4 or k.shape[0] != b or k.shape[2] != m or k.shape != layers[0][0].shape:
-                raise ShapeError(f"layer store shape {k.shape} vs validity {(b, m)}")
-        heads, head_dim = layers[0][0].shape[1::2] if layers else (0, 0)
-        dtype = layers[0][0].dtype if layers else np.float32
-        store = _Store(len(layers), b, heads, head_dim, dtype, m)
-        for (k, v), sk, sv in zip(layers, store.k, store.v):
-            sk[...], sv[...] = k, v
-        store.validity[...], store.segments[...] = validity, segments
-        store.tip = store.claim_start = m
-        self._hold(store, m, counts)
-
-    def _hold(self, store: _Store, stored: int, counts: np.ndarray):
+    def __init__(self, store: _Store, stored: int, counts: np.ndarray):
         self._store, self.stored, self.counts = store, stored, _lock(counts, np.int64)
-        if not np.array_equal(self.validity.sum(axis=1), self.counts):
-            raise ShapeError("valid-token counts disagree with validity bitmap")
 
     @classmethod
     def empty(cls, batch: int, n_layers: int, n_heads: int, head_dim: int,
               dtype=np.float32) -> "RoundMemory":
-        memory = cls.__new__(cls)
-        memory._hold(_Store(n_layers, batch, n_heads, head_dim, dtype, 0), 0,
-                     np.zeros(batch, dtype=np.int64))
-        return memory
+        return cls(_Store(n_layers, batch, n_heads, head_dim, dtype, 0), 0,
+                   np.zeros(batch, dtype=np.int64))
 
     @property
     def layers(self) -> MemoryLayers:
@@ -185,7 +162,7 @@ class RoundMemory:
 
     @property
     def capacity(self) -> int:
-        """Slots this memory's store holds; an append past them moves the
+        """Slots this memory's store holds; a write past them moves the
         memory's slots to a fresh store."""
         return self._store.capacity
 
@@ -202,16 +179,10 @@ class RoundMemory:
         """This memory's store with slots stored..stored+seg free: a later
         memory or a pending write holding them, or too few slots, first moves
         this memory's slots to a fresh store with room for twice the slots
-        the append needs."""
+        the write needs."""
         store, n = self._store, self.stored
         if store.tip != n or n + seg > store.capacity:
             store = self._store = store.moved(n, 2 * (n + seg))
-        return store
-
-    def _claim(self, seg: int) -> _Store:
-        """`_room`, with slots stored..stored+seg marked as this write's."""
-        store = self._room(seg)
-        store.claim_start, store.tip = self.stored, self.stored + seg
         return store
 
     def _check(self, segment_validity) -> np.ndarray:
@@ -221,25 +192,27 @@ class RoundMemory:
         return validity
 
     def append(self, kv, segment_validity, segment: int) -> "RoundMemory":
-        """New memory extended by one segment's slots.
+        """New memory extended by the segment a cached forward from this
+        memory wrote.
 
         kv: per-layer (K, V) arrays or tensors (batch, heads, stored+seg,
-        head_dim), this memory's slots then the segment's, as
-        `Transformer.forward_segment` returns them. The new memory adopts the
-        slots a cached forward from this memory wrote into its store; from
-        any other arrays it copies the segment's slots in (the stored ones
-        are this memory's own). segment_validity: (batch, seg) 0/1; segment:
-        the dialogue segment these slots belong to, never below the last
-        stored one (a decoded token continues its reply's segment).
+        head_dim), as `Transformer.forward_segment` with `cache=self.layers`
+        returns them: this memory's slots then the segment's, views of the
+        store the forward wrote into. The new memory adopts those slots. Any
+        other K/V raises ShapeError: arrays from elsewhere, the older of two
+        writes from this memory, or a write from another memory of the store.
+        segment_validity: (batch, seg) 0/1; segment: the dialogue segment
+        these slots belong to, never below the last stored one (a decoded
+        token continues its reply's segment).
         """
         if segment < (self._store.segments[self.stored - 1] if self.stored else 0):
             raise ShapeError(f"segment id {segment} precedes the stored segments")
         if len(kv) != self.n_layers:
             raise ShapeError(f"segment has {len(kv)} layers, memory has {self.n_layers}")
         validity = self._check(segment_validity)
-        n, seg = self.stored, validity.shape[1]
-        end = n + seg
-        b, h, dh = self._store.slot_shape
+        store, n = self._store, self.stored
+        end = n + validity.shape[1]
+        b, h, dh = store.slot_shape
         arrays = [(k.data if isinstance(k, Tensor) else np.asarray(k),
                    v.data if isinstance(v, Tensor) else np.asarray(v)) for k, v in kv]
         for k, v in arrays:
@@ -247,18 +220,13 @@ class RoundMemory:
                 raise ShapeError(f"key/value shapes differ: {k.shape} vs {v.shape}")
             if k.shape != (b, h, end, dh):
                 raise ShapeError(f"layer store shape {k.shape} vs validity {(b, end)}")
-        store = self._store
         if not (store.claim_start == n and store.tip == end
                 and all(k.base is sk and v.base is sv
                         for (k, v), sk, sv in zip(arrays, store.k, store.v))):
-            store = self._claim(seg)
-            for (k, v), sk, sv in zip(arrays, store.k, store.v):
-                sk[:, :, n:end] = k[:, :, n:]
-                sv[:, :, n:end] = v[:, :, n:]
+            raise ShapeError("segment K/V were not written by this memory's latest "
+                             "cached forward (`layers.attend`)")
         store.write(n, validity, segment)
-        memory = RoundMemory.__new__(RoundMemory)
-        memory._hold(store, end, self.counts + validity.sum(axis=1))
-        return memory
+        return RoundMemory(store, end, self.counts + validity.sum(axis=1))
 
     def next_positions(self, segment_validity) -> np.ndarray:
         """Position ids of an incoming segment (`data.position_ids`),
@@ -270,8 +238,9 @@ class RoundMemory:
         segment run under `role`: its rows of `data.visibility_mask` over the
         stored slots plus its own, under the `regime` options. The segment's
         validity and id are written into the free slots after the stored
-        ones (an older memory first moves its slots, as for an append), and
-        the keys' bookkeeping is read from the store as a view."""
+        ones (an older memory first moves its slots, as for a cached
+        forward), and the keys' bookkeeping is read from the store as a
+        view."""
         validity = self._check(segment_validity)
         store, n = self._room(validity.shape[1]), self.stored
         store.write(n, validity, segment)

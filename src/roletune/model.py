@@ -11,8 +11,9 @@ attended over, the cached slots then the grid's. A cached forward writes the
 grid's K/V into the memory's preallocated store and attends over a view, so
 the memory's next append keeps them without a copy. Each token runs under one
 role's deltas: the whole grid under one role, or a per-token role grid, which
-is how training runs a whole dialogue in one pass. Which cached or earlier slots a token reads is the caller's mask;
-which of those reads carry key/value gradient is the caller's live grid.
+is how training runs a whole dialogue in one pass. Which cached or earlier
+slots a token reads is the caller's mask; which of those reads carry
+key/value gradient is the caller's live grid.
 """
 
 from __future__ import annotations

@@ -3,6 +3,9 @@
 Storage and vectorized kernels come from numpy; the differentiation machinery
 is a recording tape. Ops run "eager": with no active Tape they just compute,
 under a `with Tape() as tape:` block they also append a backward rule per call.
+The active tape is one module-level slot. A `with` block saves the slot's
+value on entry and restores it on exit, even when the block raises, so tapes
+nest. The slot is not per thread: ops under a tape run on one thread.
 `tape.backward(loss)` replays the records in reverse and returns gradients for
 the trainable leaves. It releases each entry (output gradient, saved arrays,
 inputs and output) as soon as that entry's backward has run, so a pass holds
@@ -28,8 +31,6 @@ equal shapes, or one shape must be a suffix of the other. No size-1 stretching.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from .errors import ShapeError
@@ -40,11 +41,7 @@ FLOAT_DTYPES = (np.float32, np.float64)
 # enough that exp(x - max) underflows to exactly 0.0 in both f32 and f64.
 MASK_NEG = -1.0e9
 
-_tls = threading.local()
-
-
-def _active_tape():
-    return getattr(_tls, "tape", None)
+_tape: Tape | None = None  # the active tape (see the module docstring)
 
 
 class Tensor:
@@ -82,12 +79,7 @@ class Tensor:
 
     def detach(self) -> "Tensor":
         """Stop-gradient view: shares data, never receives gradients."""
-        out = Tensor.__new__(Tensor)
-        out.data = self.data
-        out.requires_grad = False
-        out.grad = None
-        out._transposed = None
-        return out
+        return constant(self.data)
 
     def zero_grad(self):
         self.grad = None
@@ -156,19 +148,17 @@ class Tape:
         self.entries: list[_Entry] = []
         self._produced: set[int] = set()
         self._spent = False
+        self._outer: list[Tape | None] = []  # the slot's value at each entry
 
     def __enter__(self):
-        stack = getattr(_tls, "stack", None)
-        if stack is None:
-            stack = _tls.stack = []
-        stack.append(self)
-        _tls.tape = self
+        global _tape
+        self._outer.append(_tape)
+        _tape = self
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        stack = _tls.stack
-        stack.pop()
-        _tls.tape = stack[-1] if stack else None
+        global _tape
+        _tape = self._outer.pop()
         return False
 
     def backward(self, loss: Tensor) -> dict[Tensor, np.ndarray]:
@@ -219,25 +209,20 @@ class Tape:
 
 
 def _maybe_record(inputs: tuple[Tensor, ...], output: Tensor, backward_fn) -> Tensor:
-    tape = _active_tape()
-    if tape is not None and any(t.requires_grad for t in inputs):
-        tape._record(inputs, output, backward_fn)
+    if _tape is not None and any(t.requires_grad for t in inputs):
+        _tape._record(inputs, output, backward_fn)
     return output
 
 
-def _raw(data) -> Tensor:
+def constant(data: np.ndarray) -> Tensor:
+    """An untracked tensor over `data` itself: a strided view stays a view,
+    where `Tensor(data)` would copy it into contiguous storage."""
     out = Tensor.__new__(Tensor)
     out.data = np.asarray(data)  # normalizes numpy scalars to 0-d arrays
     out.requires_grad = False
     out.grad = None
     out._transposed = None
     return out
-
-
-def constant(data: np.ndarray) -> Tensor:
-    """An untracked tensor over `data` itself: a strided view stays a view,
-    where `Tensor(data)` would copy it into contiguous storage."""
-    return _raw(data)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +252,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_dtype(a, b, "add")
     _check_suffix(a.shape, b.shape, "add")
-    out = _raw(a.data + b.data)
+    out = constant(a.data + b.data)
 
     def backward(g):
         return (_unbroadcast(g, a.shape) if a.requires_grad else None,
@@ -279,7 +264,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_dtype(a, b, "sub")
     _check_suffix(a.shape, b.shape, "sub")
-    out = _raw(a.data - b.data)
+    out = constant(a.data - b.data)
 
     def backward(g):
         return (_unbroadcast(g, a.shape) if a.requires_grad else None,
@@ -291,7 +276,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_dtype(a, b, "mul")
     _check_suffix(a.shape, b.shape, "mul")
-    out = _raw(a.data * b.data)
+    out = constant(a.data * b.data)
 
     def backward(g):
         return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
@@ -301,14 +286,14 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def neg(a: Tensor) -> Tensor:
-    out = _raw(-a.data)
+    out = constant(-a.data)
     return _maybe_record((a,), out, lambda g: (-g,))
 
 
 def silu(x: Tensor) -> Tensor:
     """x * sigmoid(x)."""
     sig = 1.0 / (1.0 + np.exp(-x.data))
-    out = _raw(x.data * sig)
+    out = constant(x.data * sig)
 
     def backward(g):
         return (g * sig * (1.0 + x.data * (1.0 - sig)),)
@@ -321,19 +306,19 @@ def silu(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def reshape(x: Tensor, shape) -> Tensor:
-    out = _raw(np.ascontiguousarray(x.data.reshape(shape)))
+    out = constant(np.ascontiguousarray(x.data.reshape(shape)))
     return _maybe_record((x,), out, lambda g: (g.reshape(x.shape),))
 
 
 def swapaxes(x: Tensor, a: int, b: int) -> Tensor:
-    out = _raw(np.ascontiguousarray(x.data.swapaxes(a, b)))
+    out = constant(np.ascontiguousarray(x.data.swapaxes(a, b)))
     return _maybe_record((x,), out, lambda g: (np.ascontiguousarray(g.swapaxes(a, b)),))
 
 
 def concat(parts: list[Tensor], axis: int) -> Tensor:
     if not parts:
         raise ShapeError("concat of zero tensors")
-    out = _raw(np.concatenate([p.data for p in parts], axis=axis))
+    out = constant(np.concatenate([p.data for p in parts], axis=axis))
     sizes = [p.shape[axis] for p in parts]
     bounds = np.cumsum(sizes)[:-1]
 
@@ -345,13 +330,13 @@ def concat(parts: list[Tensor], axis: int) -> Tensor:
 
 
 def tensor_sum(x: Tensor) -> Tensor:
-    out = _raw(x.data.sum())
+    out = constant(x.data.sum())
     return _maybe_record((x,), out, lambda g: (np.broadcast_to(g, x.shape).astype(x.dtype.type, copy=True),))
 
 
 def tensor_mean(x: Tensor) -> Tensor:
     n = x.data.size
-    out = _raw(x.data.mean())
+    out = constant(x.data.mean())
 
     def backward(g):
         return (np.broadcast_to(g / n, x.shape).astype(x.dtype.type, copy=True),)
@@ -370,7 +355,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     sa, sb = a.shape, b.shape
     if len(sa) < 2 or len(sb) < 2 or len(sa) != len(sb) or sa[:-2] != sb[:-2] or sa[-1] != sb[-2]:
         raise ShapeError(f"matmul: shapes {sa} and {sb} do not conform")
-    out = _raw(a.data @ b.data)
+    out = constant(a.data @ b.data)
 
     def backward(g):
         return (g @ b.data.swapaxes(-1, -2) if a.requires_grad else None,
@@ -404,7 +389,7 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
     lead = x.shape[:-1]
     flat = np.ascontiguousarray(x.data.reshape(-1, x.shape[-1]))
     wt = _contiguous_transpose(w)
-    out = _raw((flat @ wt).reshape(lead + (w.shape[0],)))
+    out = constant((flat @ wt).reshape(lead + (w.shape[0],)))
 
     def backward(g):
         g = g.reshape(flat.shape[0], w.shape[0])
@@ -429,7 +414,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
-    out = _raw(y)
+    out = constant(y)
 
     def backward(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
@@ -556,7 +541,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, scale: float,
 
     if s <= ATTENTION_TILE:
         p = _tile_probs(q.data, k.data, mask, scale)
-        out = _raw(p @ v.data)
+        out = constant(p @ v.data)
 
         def backward(g):
             gate = None if live is None else live.astype(p.dtype)
@@ -567,7 +552,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, scale: float,
     tiles = _tile_extents(mask, s, t)
     probs = [_tile_probs(q.data[:, :, r0:r1], k.data[:, :, :e], mask[:, r0:r1, :e], scale)
              for r0, r1, e in tiles]
-    out = _raw(np.concatenate([p @ v.data[:, :, :e] for p, (_, _, e) in zip(probs, tiles)],
+    out = constant(np.concatenate([p @ v.data[:, :, :e] for p, (_, _, e) in zip(probs, tiles)],
                               axis=2))
 
     def backward(g):
@@ -626,11 +611,11 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray | None =
 
     def scored_loss(m, n):
         if n == 0:
-            return _raw(np.zeros((), dtype=logits.dtype))
+            return constant(np.zeros((), dtype=logits.dtype))
         safe = np.where(m, targets, 0)[..., None]
         picked = np.take_along_axis(x, safe, axis=-1)[..., 0]
         nll = (lse - picked) * m
-        out = _raw(np.asarray(nll.sum() / n, dtype=logits.dtype))
+        out = constant(np.asarray(nll.sum() / n, dtype=logits.dtype))
 
         def backward(g):
             # (p - onehot(target)) * m * g / n, built as p * coef with the
@@ -653,7 +638,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray | None =
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     """Row gather: out[..., :] = table[ids[...]]. Backward scatter-adds."""
     ids = np.asarray(ids)
-    out = _raw(np.ascontiguousarray(table.data[ids]))
+    out = constant(np.ascontiguousarray(table.data[ids]))
 
     def backward(g):
         gt = np.zeros_like(table.data)
@@ -668,7 +653,7 @@ def rms_norm(x: Tensor, scale: Tensor, eps: float) -> Tensor:
     d = x.shape[-1]
     inv = 1.0 / np.sqrt((x.data * x.data).mean(axis=-1, keepdims=True) + eps)
     xhat = x.data * inv
-    out = _raw(xhat * scale.data)
+    out = constant(xhat * scale.data)
 
     def backward(g):
         gx = gscale = None
@@ -710,5 +695,5 @@ def rope_rotate(x: Tensor, positions: np.ndarray, base: float) -> Tensor:
         out[..., 1::2] = even * s + odd * c
         return out
 
-    out = _raw(rot(x.data, cos, sin))
+    out = constant(rot(x.data, cos, sin))
     return _maybe_record((x,), out, lambda g: (rot(g, cos, -sin),))

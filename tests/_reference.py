@@ -107,14 +107,6 @@ def forward_full(cfg, base, adapters, tokens, positions, roles, mask=None):
     return h @ base["embed"].T
 
 
-def attended_kv(stored, segment):
-    """The per-layer K/V a cached forward attends over, as
-    `Transformer.forward_segment` returns it: the stored slots, then the
-    segment's, along the slot axis."""
-    return [(np.concatenate([k, ks], axis=2), np.concatenate([v, vs], axis=2))
-            for (k, v), (ks, vs) in zip(stored, segment)]
-
-
 def split_samples(sample, tokenizer):
     """The per-round split layout, one (context, response) id pair per
     round: the context holds everything before the round's agent reply, the

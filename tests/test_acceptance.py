@@ -45,6 +45,8 @@ from roletune.model import ModelConfig, RoleAdapters, Transformer
 from roletune.tensor import Tape
 from roletune.training import TrainConfig, combine_losses, midi_losses, train
 
+pytestmark = pytest.mark.acceptance
+
 TOK = ByteTokenizer()
 
 # Random-token checks use a small vocabulary.

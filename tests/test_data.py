@@ -5,7 +5,6 @@ import json
 import numpy as np
 import pytest
 
-from _reference import attended_kv
 from roletune.data import (
     ByteTokenizer,
     DialogueSample,
@@ -293,8 +292,8 @@ class TestBuildRoundBatches:
                 mine = grid.validity[b] & (grid.segments[b] == i)
                 np.testing.assert_array_equal(grid.positions[b][mine],
                                               expected[b][seg.validity[b]])
-            kv = [(np.zeros((batch.batch, 1, seg.tokens.shape[1], 2), dtype=np.float32),) * 2]
-            mem = mem.append(attended_kv(mem.layers, kv), seg.validity, i)
+            new = np.zeros((batch.batch, 1, seg.tokens.shape[1], 2), dtype=np.float32)
+            mem = mem.append([mem.layers.attend(0, new, new)], seg.validity, i)
 
 
 class TestConcatAndSplitLayouts:

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from _reference import attended_kv
 from roletune.errors import ShapeError
 from roletune.memory import RoundMemory
 from roletune.tensor import MASK_NEG
@@ -17,6 +16,19 @@ def make_segment(rng, batch=2, heads=2, seg=3, head_dim=4, n_layers=2):
     ]
 
 
+def cached_write(mem, new):
+    """What a cached forward from `mem` does with the new slots `new`
+    (per-layer (K, V) of the segment alone): write each layer through
+    `layers.attend`; returns the views it attended over."""
+    layers = mem.layers
+    return [layers.attend(i, k, v) for i, (k, v) in enumerate(new)]
+
+
+def cached_step(mem, new, validity, segment):
+    """`cached_write`, then the append that adopts its slots."""
+    return mem.append(cached_write(mem, new), validity, segment)
+
+
 class TestAppend:
     def test_empty_memory_base_case(self):
         mem = RoundMemory.empty(batch=2, n_layers=2, n_heads=2, head_dim=4)
@@ -28,7 +40,7 @@ class TestAppend:
         rng = np.random.default_rng(0)
         seg_kv = make_segment(rng)
         validity = np.array([[1, 1, 0], [1, 0, 0]])
-        mem = RoundMemory.empty(2, 2, 2, 4).append(seg_kv, validity, 0)
+        mem = cached_step(RoundMemory.empty(2, 2, 2, 4), seg_kv, validity, 0)
         assert mem.stored == 3
         for (k, v), (ks, vs) in zip(mem.layers, seg_kv):
             np.testing.assert_array_equal(k, ks)
@@ -38,17 +50,17 @@ class TestAppend:
     def test_two_appends_lengths_additive(self):
         rng = np.random.default_rng(1)
         mem = RoundMemory.empty(2, 2, 2, 4)
-        mem = mem.append(make_segment(rng, seg=3), np.ones((2, 3)), 0)
-        mem = mem.append(attended_kv(mem.layers, make_segment(rng, seg=5)), np.ones((2, 5)), 1)
+        mem = cached_step(mem, make_segment(rng, seg=3), np.ones((2, 3)), 0)
+        mem = cached_step(mem, make_segment(rng, seg=5), np.ones((2, 5)), 1)
         assert mem.stored == 8
         np.testing.assert_array_equal(mem.counts, [8, 8])
 
     def test_append_is_functional_and_append_only(self):
         rng = np.random.default_rng(2)
         first_kv = make_segment(rng, seg=3)
-        mem1 = RoundMemory.empty(2, 2, 2, 4).append(first_kv, np.ones((2, 3)), 0)
+        mem1 = cached_step(RoundMemory.empty(2, 2, 2, 4), first_kv, np.ones((2, 3)), 0)
         snapshot = [(k.copy(), v.copy()) for k, v in mem1.layers]
-        mem2 = mem1.append(attended_kv(mem1.layers, make_segment(rng, seg=2)), np.ones((2, 2)), 1)
+        mem2 = cached_step(mem1, make_segment(rng, seg=2), np.ones((2, 2)), 1)
         assert mem1.stored == 3 and mem2.stored == 5
         for (k, v), (ks, vs) in zip(mem1.layers, snapshot):
             np.testing.assert_array_equal(k, ks)
@@ -56,18 +68,18 @@ class TestAppend:
 
     def test_stored_arrays_are_read_only(self):
         rng = np.random.default_rng(3)
-        mem = RoundMemory.empty(2, 2, 2, 4).append(make_segment(rng), np.ones((2, 3)), 0)
+        mem = cached_step(RoundMemory.empty(2, 2, 2, 4), make_segment(rng), np.ones((2, 3)), 0)
         with pytest.raises(ValueError):
             mem.layers[0][0][0, 0, 0, 0] = 1.0
         with pytest.raises(ValueError):
             mem.validity[0, 0] = False
 
     def test_mutating_source_after_append_leaves_memory_unchanged(self):
-        # arrays the store did not hand out are copied in, so a write
-        # through the caller's reference does not reach the memory
+        # `attend` copies the segment into the store, so a write through the
+        # caller's reference does not reach the memory
         rng = np.random.default_rng(4)
         seg_kv = make_segment(rng)
-        mem = RoundMemory.empty(2, 2, 2, 4).append(seg_kv, np.ones((2, 3)), 0)
+        mem = cached_step(RoundMemory.empty(2, 2, 2, 4), seg_kv, np.ones((2, 3)), 0)
         before = mem.layers[0][0].copy()
         seg_kv[0][0][:] = 0.0
         np.testing.assert_array_equal(mem.layers[0][0], before)
@@ -75,50 +87,43 @@ class TestAppend:
     def test_batch_mismatch_rejected(self):
         rng = np.random.default_rng(5)
         mem = RoundMemory.empty(2, 2, 2, 4)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="segment validity"):
             mem.append(make_segment(rng, batch=3), np.ones((3, 3)), 0)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="segment validity"):
             mem.append(make_segment(rng), np.ones((3, 3)), 0)
 
     def test_segment_slots_alone_rejected(self):
         # an append takes the stored slots plus the new ones, as attended over
         rng = np.random.default_rng(19)
-        mem = RoundMemory.empty(2, 2, 2, 4).append(make_segment(rng), np.ones((2, 3)), 0)
+        mem = cached_step(RoundMemory.empty(2, 2, 2, 4), make_segment(rng), np.ones((2, 3)), 0)
         with pytest.raises(ShapeError, match="layer store shape"):
             mem.append(make_segment(rng), np.ones((2, 3)), 1)
 
     def test_layer_count_mismatch_rejected(self):
         rng = np.random.default_rng(6)
         mem = RoundMemory.empty(2, 2, 2, 4)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="3 layers"):
             mem.append(make_segment(rng, n_layers=3), np.ones((2, 3)), 0)
 
     def test_segment_before_stored_rejected(self):
         rng = np.random.default_rng(7)
         mem = RoundMemory.empty(2, 2, 2, 4)
-        with pytest.raises(ShapeError):
-            mem.append(make_segment(rng), np.ones((2, 3)), -1)
-        mem = mem.append(make_segment(rng), np.ones((2, 3)), 2)
         with pytest.raises(ShapeError, match="precedes"):
-            mem.append(attended_kv(mem.layers, make_segment(rng)), np.ones((2, 3)), 1)
+            mem.append(cached_write(mem, make_segment(rng)), np.ones((2, 3)), -1)
+        mem = cached_step(mem, make_segment(rng), np.ones((2, 3)), 2)
+        with pytest.raises(ShapeError, match="precedes"):
+            mem.append(cached_write(mem, make_segment(rng)), np.ones((2, 3)), 1)
 
     def test_segments_recorded_per_slot(self):
         rng = np.random.default_rng(8)
         mem = RoundMemory.empty(2, 2, 2, 4)
-        mem = mem.append(make_segment(rng, seg=2), np.ones((2, 2)), 0)
-        mem = mem.append(attended_kv(mem.layers, make_segment(rng, seg=3)), np.ones((2, 3)), 1)
+        mem = cached_step(mem, make_segment(rng, seg=2), np.ones((2, 2)), 0)
+        mem = cached_step(mem, make_segment(rng, seg=3), np.ones((2, 3)), 1)
         np.testing.assert_array_equal(mem.segments, [0, 0, 1, 1, 1])
         # a decoded token continues its reply's segment
-        mem = mem.append(attended_kv(mem.layers, make_segment(rng, seg=1)), np.ones((2, 1)), 1)
+        mem = cached_step(mem, make_segment(rng, seg=1), np.ones((2, 1)), 1)
         np.testing.assert_array_equal(mem.segments, [0, 0, 1, 1, 1, 1])
         assert mem.next_segment == 2
-
-    def test_counts_must_match_bitmap(self):
-        with pytest.raises(ShapeError):
-            RoundMemory(
-                [(np.zeros((1, 2, 2, 4), dtype=np.float32),) * 2],
-                np.array([[True, True]]), np.array([1]), np.zeros(2, dtype=np.int8),
-            )
 
 
 class TestNextPositions:
@@ -129,9 +134,8 @@ class TestNextPositions:
 
     def test_continue_from_count_with_padding(self):
         rng = np.random.default_rng(9)
-        mem = RoundMemory.empty(1, 2, 2, 4).append(
-            make_segment(rng, batch=1, seg=5), np.ones((1, 5)), 0
-        )
+        mem = cached_step(RoundMemory.empty(1, 2, 2, 4), make_segment(rng, batch=1, seg=5),
+                          np.ones((1, 5)), 0)
         assert mem.counts[0] == 5
         pos = mem.next_positions(np.array([[1, 0, 1]]))
         assert pos[0, 0] == 5
@@ -139,9 +143,8 @@ class TestNextPositions:
 
     def test_per_sequence_counts_independent(self):
         rng = np.random.default_rng(10)
-        mem = RoundMemory.empty(2, 2, 2, 4).append(
-            make_segment(rng, seg=3), np.array([[1, 1, 1], [1, 0, 0]]), 0
-        )
+        mem = cached_step(RoundMemory.empty(2, 2, 2, 4), make_segment(rng, seg=3),
+                          np.array([[1, 1, 1], [1, 0, 0]]), 0)
         pos = mem.next_positions(np.array([[1, 1], [1, 1]]))
         np.testing.assert_array_equal(pos, [[3, 4], [1, 2]])
 
@@ -157,8 +160,8 @@ class TestNextPositions:
             pos = mem.next_positions(validity)
             for b in range(3):
                 collected[b].extend(pos[b, validity[b].astype(bool)].tolist())
-            mem = mem.append(attended_kv(mem.layers, make_segment(rng, batch=3, seg=seg)),
-                             validity, mem.next_segment)
+            mem = cached_step(mem, make_segment(rng, batch=3, seg=seg), validity,
+                              mem.next_segment)
         for b in range(3):
             np.testing.assert_array_equal(collected[b], np.arange(len(collected[b])))
             assert len(collected[b]) == mem.counts[b]
@@ -173,17 +176,15 @@ class TestBuildMask:
 
     def test_single_token_decode_sees_all_cache_plus_self(self):
         rng = np.random.default_rng(12)
-        mem = RoundMemory.empty(1, 2, 2, 4).append(
-            make_segment(rng, batch=1, seg=4), np.ones((1, 4)), 0
-        )
+        mem = cached_step(RoundMemory.empty(1, 2, 2, 4), make_segment(rng, batch=1, seg=4),
+                          np.ones((1, 4)), 0)
         mask = mem.build_mask(np.ones((1, 1)), mem.next_segment, "user")
         np.testing.assert_array_equal(mask[0, 0], np.zeros(5))
 
     def test_cached_padding_slot_blocked(self):
         rng = np.random.default_rng(13)
-        mem = RoundMemory.empty(2, 2, 2, 4).append(
-            make_segment(rng, seg=3), np.array([[1, 1, 0], [1, 0, 0]]), 0
-        )
+        mem = cached_step(RoundMemory.empty(2, 2, 2, 4), make_segment(rng, seg=3),
+                          np.array([[1, 1, 0], [1, 0, 0]]), 0)
         mask = mem.build_mask(np.ones((2, 2)), mem.next_segment, "user")
         assert (mask[0, :, 2] == MASK_NEG).all()      # sequence 0: slot 2 padded
         assert (mask[1, :, 1:3] == MASK_NEG).all()    # sequence 1: slots 1,2 padded
@@ -192,9 +193,8 @@ class TestBuildMask:
     def test_attention_weight_to_cached_padding_is_exactly_zero(self):
         # push the mask through a real softmax on a 2-sequence toy batch
         rng = np.random.default_rng(14)
-        mem = RoundMemory.empty(2, 2, 2, 4).append(
-            make_segment(rng, seg=3), np.array([[1, 0, 1], [0, 1, 1]]), 0
-        )
+        mem = cached_step(RoundMemory.empty(2, 2, 2, 4), make_segment(rng, seg=3),
+                          np.array([[1, 0, 1], [0, 1, 1]]), 0)
         mask = mem.build_mask(np.ones((2, 2)), mem.next_segment, "user")
         scores = rng.normal(size=(2, 2, 5)).astype(np.float32) + mask
         e = np.exp(scores - scores.max(axis=-1, keepdims=True))
@@ -212,28 +212,17 @@ class TestBuildMask:
 
     def test_padding_query_sees_only_itself(self):
         rng = np.random.default_rng(15)
-        mem = RoundMemory.empty(1, 2, 2, 4).append(
-            make_segment(rng, batch=1, seg=2), np.ones((1, 2)), 0
-        )
+        mem = cached_step(RoundMemory.empty(1, 2, 2, 4), make_segment(rng, batch=1, seg=2),
+                          np.ones((1, 2)), 0)
         mask = mem.build_mask(np.array([[1, 0]]), mem.next_segment, "user")
         np.testing.assert_array_equal(mask[0, 1], [MASK_NEG, MASK_NEG, MASK_NEG, 0.0])
 
     def test_mask_values_are_binary(self):
         rng = np.random.default_rng(18)
-        mem = RoundMemory.empty(2, 2, 2, 4).append(
-            make_segment(rng, seg=3), np.array([[1, 1, 0], [1, 0, 0]]), 0
-        )
+        mem = cached_step(RoundMemory.empty(2, 2, 2, 4), make_segment(rng, seg=3),
+                          np.array([[1, 1, 0], [1, 0, 0]]), 0)
         mask = mem.build_mask(np.array([[1, 1], [1, 0]]), mem.next_segment, "user")
         assert set(np.unique(mask)) <= {0.0, np.float32(MASK_NEG)}
-
-
-def cached_step(mem, new, validity, segment):
-    """What a cached forward does with the new slots `new` (per-layer (K, V)
-    of the segment alone): write each layer through `layers.attend`, then
-    append the views it attended over."""
-    layers = mem.layers
-    kv = [layers.attend(i, k, v) for i, (k, v) in enumerate(new)]
-    return mem.append(kv, validity, segment)
 
 
 def expected_state(steps):
@@ -325,45 +314,48 @@ class TestStore:
         for i, mem in enumerate(chain):
             assert_holds(mem, steps[:i + 1])
 
-    def test_foreign_arrays_are_copied_in(self):
-        # arrays the store did not hand out, stored slots included, as
-        # attended_kv builds them
-        steps = self.steps(26, [4, 2, 3])
+    def test_foreign_arrays_are_rejected(self):
+        # the stored slots then the segment's, built outside the store
+        steps = self.steps(26, [4, 2])
         mem = replay(steps[:1])
-        for new, validity, segment in steps[1:]:
-            mem = mem.append(attended_kv(mem.layers, new), validity, segment)
-        assert_holds(mem, steps)
+        new, validity, segment = steps[1]
+        foreign = [(np.concatenate([k, k_new], axis=2), np.concatenate([v, v_new], axis=2))
+                   for (k, v), (k_new, v_new) in zip(mem.layers, new)]
+        with pytest.raises(ShapeError, match="not written"):
+            mem.append(foreign, validity, segment)
+        assert_holds(mem, steps[:1])
+        assert_holds(cached_step(mem, new, validity, segment), steps)
 
-    def test_a_second_write_from_one_memory_keeps_the_first(self):
+    def test_the_first_of_two_writes_from_one_memory_is_rejected(self):
         # two cached forwards from one memory before either appends: the
-        # second writes into a fresh store, so the first's slots survive
+        # second writes into a fresh store, so only the second is adopted
         steps = self.steps(27, [4])
         (new_a, val_a, seg_a), (new_b, val_b, seg_b) = self.steps(28, [2, 2], first_segment=1)
         base = replay(steps)
-        layers_a, layers_b = base.layers, base.layers
-        kv_a = [layers_a.attend(i, k, v) for i, (k, v) in enumerate(new_a)]
-        kv_b = [layers_b.attend(i, k, v) for i, (k, v) in enumerate(new_b)]
+        kv_a = cached_write(base, new_a)
+        kv_b = cached_write(base, new_b)
+        with pytest.raises(ShapeError, match="not written"):
+            base.append(kv_a, val_a, seg_a)
         mem_b = base.append(kv_b, val_b, seg_b)
-        mem_a = base.append(kv_a, val_a, seg_a)
+        with pytest.raises(ShapeError, match="not written"):
+            base.append(kv_a, val_a, seg_a)
         assert_holds(base, steps)
-        assert_holds(mem_a, steps + [(new_a, val_a, seg_a)])
         assert_holds(mem_b, steps + [(new_b, val_b, seg_b)])
 
-    def test_a_later_memorys_write_appended_to_an_earlier_one_is_copied(self):
+    def test_a_later_memorys_write_appended_to_an_earlier_one_is_rejected(self):
         # the write began at the later memory's end, so the earlier memory
-        # copies it instead of adopting it over the later memory's slots
+        # must not adopt it over the later memory's slots
         steps = self.steps(31, [6, 2], padded=True)
-        (new, _, segment), = self.steps(32, [2], first_segment=2)
+        (new, validity, segment), = self.steps(32, [2], first_segment=2)
         base = replay(steps[:1])
         later = cached_step(base, *steps[1])
         assert later.stored + 2 <= later.capacity  # one store throughout
-        layers = later.layers
-        kv = [layers.attend(i, k, v) for i, (k, v) in enumerate(new)]
-        whole = [(np.concatenate([k_b, k_n], axis=2), np.concatenate([v_b, v_n], axis=2))
-                 for (k_b, v_b), (k_n, v_n) in zip(steps[1][0], new)]
-        grown = base.append(kv, np.ones((2, 4)), segment)
+        kv = cached_write(later, new)
+        with pytest.raises(ShapeError, match="not written"):
+            base.append(kv, np.ones((2, 4)), segment)
+        assert_holds(base, steps[:1])
         assert_holds(later, steps)
-        assert_holds(grown, steps[:1] + [(whole, np.ones((2, 4)), segment)])
+        assert_holds(later.append(kv, validity, segment), steps + [(new, validity, segment)])
 
     def test_attend_rejects_a_mismatched_segment(self):
         rng = np.random.default_rng(29)

@@ -983,6 +983,36 @@ class TestTape:
         assert len(inner.entries) == 1
         assert len(outer.entries) == 2
 
+    def test_raising_tape_block_restores_the_enclosing_one(self):
+        x = Tensor(np.asarray(2.0), requires_grad=True)
+        with Tape() as outer:
+            with pytest.raises(KeyError):
+                with Tape() as inner:
+                    _ = x * x
+                    raise KeyError("inner")
+            _ = x * x  # records on the outer tape again
+        assert len(inner.entries) == 1
+        assert len(outer.entries) == 1
+        with pytest.raises(KeyError):
+            with Tape() as tape:
+                raise KeyError("outermost")
+        y = x * x  # no tape is active
+        assert not y.requires_grad
+        assert len(tape.entries) == 0
+
+    def test_tape_reentered_inside_another_restores_in_order(self):
+        x = Tensor(np.asarray(2.0), requires_grad=True)
+        first, second = Tape(), Tape()
+        with first:
+            with second:
+                with first:
+                    _ = x * x
+                _ = x * x  # on second
+            _ = x * x  # on first
+        assert not (x * x).requires_grad
+        assert len(first.entries) == 2
+        assert len(second.entries) == 1
+
     def test_leaf_grad_survives_for_optimizer(self):
         x = Tensor(np.asarray(2.0), requires_grad=True)
         with Tape() as tape:
