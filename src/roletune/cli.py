@@ -546,9 +546,17 @@ def cmd_compare(args) -> int:
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+def non_negative_int(text: str) -> int:
+    """argparse type of a seed, dialogue count or round count: an int >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def add_common_flags(p: argparse.ArgumentParser, train=False, gen=False):
     p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=non_negative_int, default=None)
     if train:
         p.add_argument("--mode", choices=("midi", "concat", "split"), default=None)
         p.add_argument("--beta", type=float, default=None)
@@ -571,8 +579,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("data-synth", help="write a synthetic dialogue corpus")
-    p.add_argument("--n", type=int, required=True, help="number of dialogues")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=non_negative_int, required=True, help="number of dialogues")
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--spec-file", help="corpus recipe JSON", dest="spec_file")
     p.add_argument("--with-targets", action="store_true", dest="with_targets",
                    help="plant a target topic per dialogue (default recipe only)")
@@ -600,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'stdin' for typed turns, a checkpoint path for its "
                         "user adapters, default: agent checkpoint's own")
     p.add_argument("--instruction", required=True)
-    p.add_argument("--rounds", type=int, default=3)
+    p.add_argument("--rounds", type=non_negative_int, default=3)
     p.add_argument("--out", required=True, help="transcript path (corpus JSONL)")
     add_common_flags(p, gen=True)
     p.set_defaults(func=cmd_chat_sim)

@@ -56,6 +56,8 @@ class GenerationConfig:
             raise ConfigError(f"top_p must lie in (0, 1], got {self.top_p}")
         if self.max_new_tokens < 1:
             raise ConfigError(f"max_new_tokens must be >= 1, got {self.max_new_tokens}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
         return {

@@ -250,18 +250,6 @@ def lora_linear(x: Tensor, base_w: Tensor, *deltas: LoraDelta | None,
     return y
 
 
-def rope_apply(x: Tensor, positions: np.ndarray, base: float) -> Tensor:
-    """Rotate head-split queries or keys (B, H, S, Dh) by per-slot positions (B, S)."""
-    positions = np.asarray(positions)
-    if x.shape[-1] % 2 != 0:
-        raise ShapeError(f"rotary pairing needs an even head dimension, got {x.shape[-1]}")
-    if positions.shape != (x.shape[0], x.shape[2]):
-        raise ShapeError(
-            f"positions shape {positions.shape} does not match batch/slots {(x.shape[0], x.shape[2])}"
-        )
-    return rt.rope_rotate(x, positions, base)
-
-
 class Transformer:
     """The frozen backbone plus whatever adapters the caller passes per call."""
 
@@ -342,6 +330,8 @@ class Transformer:
             raise ShapeError(f"role grid shape {np.shape(role)} vs tokens {tokens.shape}")
         if tokens.min() < 0 or tokens.max() >= c.vocab_size:
             raise IndexError(f"token id outside vocab of size {c.vocab_size}")
+        if positions.min() < 0:
+            raise IndexError(f"position id {int(positions.min())} is negative")
         if positions.max() >= c.max_positions:
             raise CapacityError(
                 f"position id {int(positions.max())} exceeds max_positions={c.max_positions}"
@@ -373,6 +363,7 @@ class Transformer:
         h = rt.embedding(params["embed"], tokens)
         kv: list[tuple[Tensor, Tensor]] = []
         scale = 1.0 / math.sqrt(c.head_dim)
+        rope = rt.rope_tables(positions, c.head_dim, c.rope_base, dtype)  # for every layer
 
         for i in range(c.n_layers):
             p = f"layer{i}."
@@ -382,8 +373,8 @@ class Transformer:
                 deltas = [adapters.delta(r, i, name) for r in roles] if adapters is not None else []
                 return lora_linear(x, params[p + "w" + name], *deltas, gates=gates)
 
-            q = rope_apply(self._split_heads(proj("q", x), batch, seg), positions, c.rope_base)
-            k = rope_apply(self._split_heads(proj("k", x), batch, seg), positions, c.rope_base)
+            q = rt.rope_rotate(self._split_heads(proj("q", x), batch, seg), *rope)
+            k = rt.rope_rotate(self._split_heads(proj("k", x), batch, seg), *rope)
             v = self._split_heads(proj("v", x), batch, seg)
             if cache is not None:
                 if k.requires_grad or v.requires_grad:

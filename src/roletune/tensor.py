@@ -13,12 +13,13 @@ only what later entries of the sweep still need. An op computes no gradient
 for an input that does not require grad: its backward returns None in that
 slot, so frozen weights and constants cost no backward work.
 
-`attention` runs grids of more than ATTENTION_TILE query rows in tiles of
-that many rows, each against only the keys up to the last column any of its
-rows sees; under a causal mask that skips the masked upper triangle. Skipped
-probabilities are exact zeros either way, but sums over fewer keys can move
-results by ulps. Smaller grids, every decoding step among them, run as one
-tile over every key.
+`attention` runs one loop over tiles of at most ATTENTION_TILE query rows.
+A smaller grid, every decoding step among them, is one tile over every key.
+In a larger grid each tile reads only the keys up to the last column any of
+its rows sees; under a causal mask that skips the masked upper triangle.
+Skipped probabilities are exact zeros either way, but sums over fewer keys
+can move results by ulps. `forward_segment` builds the rotary tables
+(`rope_tables`) once per call; `rope_rotate` only applies them.
 
 `linear(x, w)` is x @ W^T as one op. It runs against a contiguous W^T, which
 a tensor that does not require grad builds once per data array and keeps.
@@ -431,10 +432,14 @@ ATTENTION_TILE = 64
 def _tile_extents(mask: np.ndarray, n_rows: int, n_keys: int) -> list[tuple[int, int, int]]:
     """(first row, end row, key extent) per tile of ATTENTION_TILE query rows.
 
-    A tile's key extent is one past the last column any of its rows sees
-    (an additive value above MASK_NEG), so each dropped column is masked in
-    every row of the tile. A tile holding a fully masked row keeps every key.
+    A grid of at most ATTENTION_TILE rows is one tile over every key; its
+    mask is not read. Otherwise a tile's key extent is one past the last
+    column any of its rows sees (an additive value above MASK_NEG), so each
+    dropped column is masked in every row of the tile. A tile holding a
+    fully masked row keeps every key.
     """
+    if n_rows <= ATTENTION_TILE:
+        return [(0, n_rows, n_keys)]
     seen = mask > MASK_NEG
     blind = ~seen.any(axis=-1).all(axis=0)  # (S,): some batch row sees nothing
     last = (n_keys - np.argmax(seen[..., ::-1], axis=-1)).max(axis=0)  # (S,)
@@ -506,22 +511,23 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, scale: float,
     as if detached, while q gets its full gradient either way. None keeps
     every pair live. Rejects non-finite scores, as softmax does.
 
-    A grid of at most ATTENTION_TILE query rows, every decoding step among
-    them, runs straight through as one tile over every key. A larger grid
-    runs in tiles of ATTENTION_TILE rows. Each tile attends only to the keys
-    up to the last column any of its rows sees, read from the mask
-    (`_tile_extents`); under a causal mask that skips the upper triangle.
-    A dropped key is masked in every row of its tile, so its probability is
-    exactly 0 either way, but row sums and the probability-times-v product
-    run over fewer keys and may move by ulps. Scores of dropped keys are
-    never formed, so the non-finite check covers only the kept ones.
+    One loop runs every grid over the tiles of `_tile_extents`: a grid of
+    at most ATTENTION_TILE query rows, every decoding step among them, is
+    one tile over every key; a larger grid runs in tiles of that many rows,
+    each against only the keys up to the last column any of its rows sees,
+    read from the mask. A dropped key is masked in every row of its tile,
+    so its probability is exactly 0 either way, but row sums and the
+    probability-times-v product run over fewer keys and may move by ulps.
+    Scores of dropped keys are never formed, so the non-finite check covers
+    only the kept ones.
 
     Each tile owns its (B, H, rows, extent) grid and works on it in place,
     without writing to any input: the forward turns q @ k^T into the
     probabilities, the backward turns g @ v^T into the score gradient, and
     applies the tile's slice of the live grid to both only after the query
-    gradient is taken. Key and value gradients of the tiles are added into
-    full-width arrays; the op stays one tape entry.
+    gradient is taken. Each tile writes its rows of the output and of the
+    query gradient in place; key and value gradients of the tiles are added
+    into full-width arrays. The op stays one tape entry.
     """
     _check_dtype(q, k, "attention")
     _check_dtype(q, v, "attention")
@@ -536,39 +542,31 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, scale: float,
     scale = q.dtype.type(scale)
     mask = np.asarray(mask, dtype=q.dtype)
 
-    def needs():
-        return q.requires_grad, k.requires_grad, v.requires_grad
-
-    if s <= ATTENTION_TILE:
-        p = _tile_probs(q.data, k.data, mask, scale)
-        out = constant(p @ v.data)
-
-        def backward(g):
-            gate = None if live is None else live.astype(p.dtype)
-            return _tile_grads(p, g, q.data, k.data, v.data, gate, scale, needs())
-
-        return _maybe_record((q, k, v), out, backward)
-
     tiles = _tile_extents(mask, s, t)
-    probs = [_tile_probs(q.data[:, :, r0:r1], k.data[:, :, :e], mask[:, r0:r1, :e], scale)
-             for r0, r1, e in tiles]
-    out = constant(np.concatenate([p @ v.data[:, :, :e] for p, (_, _, e) in zip(probs, tiles)],
-                              axis=2))
+    probs = []
+    out = np.empty(q.shape, dtype=q.dtype)
+    for r0, r1, e in tiles:
+        p = _tile_probs(q.data[:, :, r0:r1], k.data[:, :, :e], mask[:, r0:r1, :e], scale)
+        np.matmul(p, v.data[:, :, :e], out=out[:, :, r0:r1])
+        probs.append(p)
 
     def backward(g):
-        gq, gk, gv = [], None, None
+        needs = q.requires_grad, k.requires_grad, v.requires_grad
+        gq = np.empty(q.shape, dtype=q.dtype) if q.requires_grad else None
+        gk = gv = None
         for p, (r0, r1, e) in zip(probs, tiles):
             gate = None if live is None else live[:, :, r0:r1, :e].astype(p.dtype)
             tq, tk, tv = _tile_grads(p, g[:, :, r0:r1], q.data[:, :, r0:r1],
-                                     k.data[:, :, :e], v.data[:, :, :e], gate, scale, needs())
-            gq.append(tq)
+                                     k.data[:, :, :e], v.data[:, :, :e], gate, scale, needs)
+            if tq is not None:
+                gq[:, :, r0:r1] = tq
             if tk is not None:
                 gk = _add_keys(gk, tk, t)
             if tv is not None:
                 gv = _add_keys(gv, tv, t)
-        return (np.concatenate(gq, axis=2) if q.requires_grad else None), gk, gv
+        return gq, gk, gv
 
-    return _maybe_record((q, k, v), out, backward)
+    return _maybe_record((q, k, v), constant(out), backward)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray | None = None,
@@ -668,24 +666,28 @@ def rms_norm(x: Tensor, scale: Tensor, eps: float) -> Tensor:
     return _maybe_record((x, scale), out, backward)
 
 
-def _rope_tables(positions: np.ndarray, d_head: int, base: float, dtype):
+def rope_tables(positions: np.ndarray, d_head: int, base: float, dtype):
+    """(cos, sin) for rotating head-split slots at `positions` (B, S): two
+    (B, 1, S, d_head // 2) arrays of `dtype`, where pair i of a slot turns by
+    position * base^(-2i/d_head). `forward_segment` builds them once per call
+    and rotates every layer's queries and keys with them."""
     half = d_head // 2
     inv_freq = base ** (-np.arange(half, dtype=np.float64) * 2.0 / d_head)
-    ang = positions[..., None].astype(np.float64) * inv_freq  # (..., half)
+    ang = positions[:, None, :, None].astype(np.float64) * inv_freq
     return np.cos(ang).astype(dtype), np.sin(ang).astype(dtype)
 
 
-def rope_rotate(x: Tensor, positions: np.ndarray, base: float) -> Tensor:
-    """Rotate adjacent feature pairs of x by position-dependent angles.
+def rope_rotate(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
+    """Rotate adjacent feature pairs of x by the angles of `rope_tables`.
 
-    x: (B, H, S, Dh) with Dh even; positions: (B, S). Pair i spins at
-    base^(-2i/Dh) radians per position step. The map is orthogonal per slot,
-    so the backward pass is a rotation by the negated angles.
+    x: (B, H, S, Dh) with Dh even; cos, sin: (B, 1, S, Dh // 2), built once
+    by the caller. Tables that do not fit x raise ShapeError. The map is
+    orthogonal per slot, so the backward pass is a rotation by the negated
+    angles.
     """
-    d_head = x.shape[-1]
-    cos, sin = _rope_tables(positions, d_head, base, x.dtype.type)  # (B, S, half)
-    cos = cos[:, None, :, :]
-    sin = sin[:, None, :, :]
+    fit = (x.shape[0], 1, x.shape[2], x.shape[3] // 2)
+    if x.shape[3] % 2 or np.shape(cos) != fit or np.shape(sin) != fit:
+        raise ShapeError(f"rope_rotate: tables {np.shape(cos)} do not fit x {x.shape}")
 
     def rot(arr, c, s):
         even = arr[..., 0::2]

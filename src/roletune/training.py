@@ -89,6 +89,8 @@ class TrainConfig:
         for name in ("batch_size", "epochs", "max_rounds", "rank"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.micro_batch is not None and not 1 <= self.micro_batch <= self.batch_size:
             raise ConfigError(f"micro_batch must lie in 1..batch_size, got {self.micro_batch}")
 

@@ -445,6 +445,64 @@ class TestParsing:
         assert manifest["config"]["train"]["batch_size"] == 6
 
 
+class TestNegativeCounts:
+    """A negative seed, dialogue count or round count stops the command
+    before it writes anything: exit 2 from a flag, exit 1 from a config file."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        config = ModelConfig(**TINY_MODEL)
+        ckpt = tmp_path / "tiny.rtck"
+        save_checkpoint(ckpt, Transformer.create(config, seed=0),
+                        RoleAdapters(config, rank=2, alpha=4.0, seed=0))
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("")
+        return ckpt, corpus
+
+    @staticmethod
+    def assert_writes_nothing(tmp_path, argv, code):
+        before = sorted(tmp_path.rglob("*"))
+        assert main(argv) == code
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("flags", [["--n", "-3"], ["--n", "2", "--seed", "-1"]],
+                             ids=["n", "seed"])
+    def test_data_synth_flag(self, tmp_path, flags):
+        self.assert_writes_nothing(
+            tmp_path, ["data-synth", *flags, "--out", str(tmp_path / "c.jsonl")], 2)
+
+    def test_train_seed_flag(self, tmp_path, inputs):
+        _, corpus = inputs
+        self.assert_writes_nothing(
+            tmp_path, ["train", str(corpus), "--seed", "-1", "--out", str(tmp_path / "run")], 2)
+
+    def test_chat_sim_rounds_flag(self, tmp_path, inputs, monkeypatch):
+        ckpt, _ = inputs
+        monkeypatch.setattr("sys.stdin", io.StringIO("hi go\n"))
+        self.assert_writes_nothing(
+            tmp_path, ["chat-sim", str(ckpt), "--user", "stdin", "--instruction", "persona xe",
+                       "--rounds", "-1", "--out", str(tmp_path / "chat.jsonl")], 2)
+
+    def test_train_seed_in_config_file(self, tmp_path, inputs, capsys):
+        _, corpus = inputs
+        cfg = write_config(tmp_path / "cfg.json", train={"seed": -1})
+        self.assert_writes_nothing(
+            tmp_path, ["train", str(corpus), "--config", str(cfg),
+                       "--out", str(tmp_path / "run")], 1)
+        assert "section 'train': seed must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_generation_seed_in_config_file(self, tmp_path, inputs, capsys):
+        ckpt, corpus = inputs
+        cfg = write_config(tmp_path / "cfg.json", generation={"seed": -1})
+        self.assert_writes_nothing(
+            tmp_path, ["eval", str(ckpt), str(corpus), "--config", str(cfg),
+                       "--out", str(tmp_path / "eval")], 1)
+        self.assert_writes_nothing(
+            tmp_path, ["chat-sim", str(ckpt), "--instruction", "persona xe", "--config", str(cfg),
+                       "--out", str(tmp_path / "chat.jsonl")], 1)
+        assert "section 'generation': seed must be >= 0, got -1" in capsys.readouterr().err
+
+
 def test_readme_quickstart_commands_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Quickstart", 1)[1].split("\n## ", 1)[0]

@@ -7,6 +7,7 @@ import pytest
 
 import roletune.tensor as rt
 from roletune.errors import CapacityError, ConfigError, ShapeError
+from roletune.memory import RoundMemory
 from roletune.model import (
     BaseWeights,
     LoraDelta,
@@ -15,7 +16,6 @@ from roletune.model import (
     Transformer,
     linear,
     lora_linear,
-    rope_apply,
 )
 from roletune.tensor import Tape, Tensor
 
@@ -160,28 +160,39 @@ class TestRoleAdapters:
         assert all(t.requires_grad for t in adapters.trainable_parameters().values())
 
 
+def rotate(x, positions, base=10000.0):
+    """Queries or keys (B, H, S, Dh) rotated as `forward_segment` rotates them."""
+    return rt.rope_rotate(x, *rt.rope_tables(np.asarray(positions), x.shape[-1], base, x.dtype))
+
+
 class TestRopeApply:
-    def test_position_zero_identity(self):
-        rng = np.random.default_rng(3)
-        x = Tensor(rng.normal(size=(1, 2, 3, 4)).astype(np.float32))
-        out = rope_apply(x, np.zeros((1, 3), dtype=int), base=10000.0)
-        np.testing.assert_array_equal(out.data, x.data)
+    """Rotary positions through `rope_tables` and `rope_rotate`, the way
+    `forward_segment` applies them."""
 
     def test_odd_head_dim_rejected(self):
         x = Tensor(np.zeros((1, 1, 2, 3)))
         with pytest.raises(ShapeError):
-            rope_apply(x, np.zeros((1, 2), dtype=int), base=10000.0)
+            rotate(x, np.zeros((1, 2), dtype=int))
 
     def test_position_shape_mismatch_rejected(self):
+        # tables for 3 slots do not fit a grid of 2
         x = Tensor(np.zeros((1, 1, 2, 4)))
+        cos, sin = rt.rope_tables(np.zeros((1, 3), dtype=int), 4, 10000.0, x.dtype)
         with pytest.raises(ShapeError):
-            rope_apply(x, np.zeros((1, 3), dtype=int), base=10000.0)
+            rt.rope_rotate(x, cos, sin)
+
+    def test_table_half_width_mismatch_rejected(self):
+        # tables for head dim 8 do not fit heads of 4
+        x = Tensor(np.zeros((1, 1, 2, 4)))
+        cos, sin = rt.rope_tables(np.zeros((1, 2), dtype=int), 8, 10000.0, x.dtype)
+        with pytest.raises(ShapeError):
+            rt.rope_rotate(x, cos, sin)
 
     def test_head_dim_two_is_plain_rotation_matrix(self):
         # at head dim 2 the single pair spins exactly m radians
         m = 5
         x = np.array([0.3, -0.7], dtype=np.float64).reshape(1, 1, 1, 2)
-        out = rope_apply(Tensor(x), np.array([[m]]), base=123.0).data[0, 0, 0]
+        out = rotate(Tensor(x), np.array([[m]]), base=123.0).data[0, 0, 0]
         R = np.array([[math.cos(m), -math.sin(m)], [math.sin(m), math.cos(m)]])
         np.testing.assert_allclose(out, R @ x.reshape(2), rtol=1e-12)
 
@@ -189,7 +200,7 @@ class TestRopeApply:
         rng = np.random.default_rng(4)
         x = rng.normal(size=(2, 3, 5, 8)).astype(np.float32)
         pos = rng.integers(0, 100, size=(2, 5))
-        out = rope_apply(Tensor(x), pos, base=10000.0).data
+        out = rotate(Tensor(x), pos).data
         np.testing.assert_allclose(
             np.linalg.norm(out, axis=-1), np.linalg.norm(x, axis=-1), rtol=1e-6
         )
@@ -200,8 +211,8 @@ class TestRopeApply:
         k = rng.normal(size=(1, 1, 1, 8)).astype(np.float32)
 
         def dot(m, n):
-            qr = rope_apply(Tensor(q), np.array([[m]]), base=10000.0).data
-            kr = rope_apply(Tensor(k), np.array([[n]]), base=10000.0).data
+            qr = rotate(Tensor(q), np.array([[m]])).data
+            kr = rotate(Tensor(k), np.array([[n]])).data
             return float((qr * kr).sum())
 
         for delta in (1, 7, 23):
@@ -248,6 +259,32 @@ class TestForwardSegment:
         model, adapters = make_model()
         with pytest.raises(CapacityError):
             model.forward_segment(np.array([[1]]), np.array([[TINY.max_positions]]), "agent", adapters)
+
+    def test_negative_position_rejected(self):
+        model, adapters = make_model()
+        with pytest.raises(IndexError):
+            model.forward_segment(np.array([[5, 6, 7]]), np.array([[-3, -2, -1]]), "agent", adapters)
+
+    @pytest.mark.parametrize("positions", [[[0, 1]], [[0, 1, 2, 3]], [[0, 1, 2], [0, 1, 2]], [0, 1, 2]],
+                             ids=["short", "long", "extra-row", "flat"])
+    def test_misshaped_positions_rejected(self, positions):
+        model, adapters = make_model()
+        with pytest.raises(ShapeError):
+            model.forward_segment(np.array([[5, 6, 7]]), np.array(positions), "agent", adapters)
+
+    def test_rope_tables_built_once_per_call(self, monkeypatch):
+        built = []
+        tables = rt.rope_tables
+        monkeypatch.setattr(rt, "rope_tables", lambda *a: built.append(a) or tables(*a))
+        model, adapters = make_model()
+        c = model.config
+        mem = RoundMemory.empty(1, c.n_layers, c.n_heads, c.head_dim)
+        validity = np.ones((1, 3), dtype=bool)
+        model.forward_segment(np.array([[1, 2, 3]]), np.arange(3)[None, :], "agent", adapters)
+        assert len(built) == 1
+        model.forward_segment(np.array([[1, 2, 3]]), mem.next_positions(validity), "agent",
+                              adapters, cache=mem.layers, mask=mem.build_mask(validity, 0, "agent"))
+        assert len(built) == 2
 
     def test_cache_without_mask_rejected(self):
         model, adapters = make_model()

@@ -600,6 +600,14 @@ class TestAttention:
                                packed.segments, packed.validity)
         assert rt._tile_extents(mask, 150, 150) == [(0, 64, 64), (64, 128, 128), (128, 150, 150)]
 
+    def test_small_grid_is_one_tile_over_every_key(self):
+        # a grid of at most ATTENTION_TILE rows keeps every key, even keys
+        # its mask hides from every row
+        for s in (1, rt.ATTENTION_TILE):
+            mask = np.zeros((2, s, 100))
+            mask[:, :, 60:] = rt.MASK_NEG
+            assert rt._tile_extents(mask, s, 100) == [(0, s, 100)]
+
     def test_decode_shaped_grid_matches_untiled(self):
         # 90 new queries after 110 stored slots
         packed = self.packed(200)
@@ -849,19 +857,26 @@ class TestRmsNorm:
         np.testing.assert_array_equal(g_x, g_x_live)
 
 
+def rotate(x, positions, base=10000.0):
+    """rope_rotate with tables for (B, S) positions, built in x's dtype."""
+    x = x if isinstance(x, Tensor) else Tensor(x)
+    return rt.rope_rotate(x, *rt.rope_tables(np.asarray(positions), x.shape[-1], base,
+                                             x.dtype))
+
+
 class TestRopeRotate:
     def test_position_zero_is_identity(self):
         rng = np.random.default_rng(19)
         x = rng.standard_normal((1, 2, 3, 8))
         pos = np.zeros((1, 3), dtype=np.int64)
-        out = rt.rope_rotate(Tensor(x), pos, base=10000.0).data
+        out = rotate(x, pos).data
         np.testing.assert_allclose(out, x, atol=1e-12)
 
     def test_norm_preserved_per_pair(self):
         rng = np.random.default_rng(20)
         x = rng.standard_normal((1, 2, 4, 6))
         pos = np.arange(4, dtype=np.int64)[None, :] + 7
-        out = rt.rope_rotate(Tensor(x), pos, base=10000.0).data
+        out = rotate(x, pos).data
         n_in = (x[..., 0::2] ** 2 + x[..., 1::2] ** 2)
         n_out = (out[..., 0::2] ** 2 + out[..., 1::2] ** 2)
         np.testing.assert_allclose(n_out, n_in, rtol=1e-10)
@@ -871,19 +886,15 @@ class TestRopeRotate:
         x = np.zeros((1, 1, 1, 4))
         x[0, 0, 0, 0] = 1.0
         p = 2
-        out = rt.rope_rotate(Tensor(x), np.array([[p]]), base=10000.0).data
+        out = rotate(x, np.array([[p]])).data
         np.testing.assert_allclose(out[0, 0, 0, :2], [math.cos(p), math.sin(p)], rtol=1e-12)
 
     def test_relative_rotation_composes(self):
         # rotating by p then by q on fresh data equals rotating once by p+q
         rng = np.random.default_rng(21)
         x = rng.standard_normal((1, 1, 1, 8))
-        once = rt.rope_rotate(Tensor(x), np.array([[5]]), base=10000.0).data
-        twice = rt.rope_rotate(
-            rt.rope_rotate(Tensor(x), np.array([[2]]), base=10000.0),
-            np.array([[3]]),
-            base=10000.0,
-        ).data
+        once = rotate(x, np.array([[5]])).data
+        twice = rotate(rotate(x, np.array([[2]])), np.array([[3]])).data
         np.testing.assert_allclose(twice, once, rtol=1e-10)
 
     def test_gradient(self):
@@ -892,7 +903,7 @@ class TestRopeRotate:
         pos = rng.integers(0, 50, size=(2, 3))
         w = rng.standard_normal((2, 2, 3, 8))
         assert_grads_match(
-            lambda t: (rt.rope_rotate(t, pos, base=10000.0) * Tensor(w.astype(t.dtype))).sum(),
+            lambda t: (rotate(t, pos) * Tensor(w.astype(t.dtype))).sum(),
             [x],
         )
 
