@@ -6,6 +6,10 @@ in header order. The header carries the model configuration, the adapter
 hyperparameters and the visibility regime they were trained in, an optional
 free-form metadata dict, and one entry per array with its name, shape, and
 dtype — enough to validate every byte on load before any weight is accepted.
+The model configuration is read by `ModelConfig.from_dict` and the adapter
+rank, alpha, targets and regime by the same rule (`config.conforms`), so a
+mistyped or non-finite header value raises CheckpointError instead of being
+converted.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import struct
 
 import numpy as np
 
+from .config import conforms
 from .errors import CheckpointError
 from .model import BaseWeights, ModelConfig, RoleAdapters, Transformer, base_shapes
 from .tensor import Tensor
@@ -83,10 +88,16 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: unreadable header ({e})") from e
 
     try:
-        config = ModelConfig.from_dict(header["model_config"])
+        config = ModelConfig.from_dict(header["model_config"], "model_config")
         meta = header["adapters"]
-        targets = {role: tuple(projs) for role, projs in meta["targets"].items()}
-        rank, alpha = int(meta["rank"]), float(meta["alpha"])
+        targets = meta["targets"]
+        for name, kind in (("rank", "int"), ("alpha", "float")):
+            if not conforms(meta[name], kind):
+                raise TypeError(f"adapter field {name!r} is {meta[name]!r}, not {kind}")
+        for role, projs in targets.items():
+            if not conforms(projs, "tuple[str, ...]"):
+                raise TypeError(f"adapter targets of {role!r} are {projs!r}, not a list of names")
+        rank, alpha = meta["rank"], float(meta["alpha"])
         entries = header["arrays"]
         if not isinstance(entries, list):
             raise TypeError("'arrays' is not a list")
@@ -151,7 +162,7 @@ def load_checkpoint(path):
         tensor.data = arrays[key].astype(tensor.data.dtype, copy=False)
     for name, default in list(adapters.regime.items()):  # absent: the default regime
         value = meta.get(name, default)
-        if not isinstance(value, bool):
+        if not conforms(value, "bool"):
             raise CheckpointError(f"{path}: adapter field {name!r} is {value!r}, not a boolean")
         adapters.regime[name] = value
     return model, adapters, extra

@@ -11,8 +11,10 @@ One executable, five subcommands:
 
 Every run writes a manifest (resolved config, seed, input hashes) before any
 work starts and fills in output hashes when it finishes, so any result can be
-re-derived from its manifest alone. Exit codes: 0 success, 1 runtime failure,
-2 usage error.
+re-derived from its manifest alone. Config files, recipes and manifests are
+read by one schema, the config dataclasses' own fields, which refuses unknown
+keys, mistyped values and non-finite numbers. Exit codes: 0 success, 1
+runtime failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -163,37 +165,14 @@ def load_manifest(path: Path) -> dict:
 
 # ---------------------------------------------------------------------------
 # configuration resolution: defaults < config file < explicit flags
+#
+# Every config a run builds from JSON (config file sections, a corpus recipe,
+# a compare manifest's config sections) goes through the config class's own
+# `from_dict`, whose schema is the dataclass fields (`config.Config`): an
+# unknown key, a mistyped or non-finite value, or an out-of-range one exits 1
+# with an error naming the file, the section and the key. A flag given sets
+# the field of its name in each section that has one.
 # ---------------------------------------------------------------------------
-
-TRAIN_FLAG_FIELDS = {"mode": "mode", "beta": "beta", "lr": "lr",
-                     "max_rounds": "max_rounds", "seed": "seed"}
-GEN_FLAG_FIELDS = {"top_p": "top_p", "top_k": "top_k",
-                   "max_new_tokens": "max_new_tokens", "seed": "seed"}
-
-
-# the JSON values a config field accepts, by its annotated type
-FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str, "tuple": list}
-
-
-def config_from(cls, values, where: str):
-    """`cls.from_dict(values)` for one JSON object of a file; a key it does
-    not know or a value of the wrong type raises ConfigError naming `where`
-    and the key."""
-    if not isinstance(values, dict):
-        raise ConfigError(f"{where} must be a JSON object, not {type(values).__name__}")
-    types = {f.name: f.type for f in fields(cls)}
-    for key, value in values.items():
-        if key not in types:
-            raise ConfigError(f"{where}: unknown key {key!r}")
-        kind, _, optional = types[key].partition(" | ")
-        if not (value is None and optional or isinstance(value, FIELD_TYPES[kind.split("[")[0]])
-                and isinstance(value, bool) == (kind == "bool")):
-            raise ConfigError(f"{where}: {key} is {value!r}, not {types[key]}")
-    try:
-        return cls.from_dict(values)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"{where}: {e}") from e
-
 
 def load_config_file(path: Path) -> dict:
     try:
@@ -226,24 +205,15 @@ def resolve_configs(args) -> dict:
     if getattr(args, "config", None):
         sections = load_config_file(Path(args.config))
         where = f"config file {args.config}"
-    for flag, field in TRAIN_FLAG_FIELDS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            sections["train"][field] = value
-    for flag, field in GEN_FLAG_FIELDS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            sections["generation"][field] = value
-    train_cfg, model_cfg, gen_cfg = (
-        config_from(cls, sections[name], f"{where}: section {name!r}")
-        for name, cls in CONFIG_SECTIONS)
-    return {
-        "train": train_cfg,
-        "model": model_cfg,
-        "generation": gen_cfg,
-        "snapshot": {"train": train_cfg.to_dict(), "model": model_cfg.to_dict(),
-                     "generation": gen_cfg.to_dict()},
-    }
+    for name, cls in CONFIG_SECTIONS:
+        for field in fields(cls):
+            value = getattr(args, field.name, None)
+            if value is not None:
+                sections[name][field.name] = value
+    cfgs = {name: cls.from_dict(sections[name], f"{where}: section {name!r}")
+            for name, cls in CONFIG_SECTIONS}
+    cfgs["snapshot"] = {name: cfgs[name].to_dict() for name, _ in CONFIG_SECTIONS}
+    return cfgs
 
 
 def load_spec_file(path: Path | None, with_targets: bool) -> SynthSpec:
@@ -254,7 +224,7 @@ def load_spec_file(path: Path | None, with_targets: bool) -> SynthSpec:
             raw = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read corpus spec {path}: {e}") from e
-    return config_from(SynthSpec, raw, f"corpus spec {path}")
+    return SynthSpec.from_dict(raw, f"corpus spec {path}")
 
 
 def resolve_oracle(arg: str | None) -> ConsistencyOracle | None:
@@ -462,7 +432,7 @@ def cmd_compare(args) -> int:
                 and isinstance(oracle_arg, str)):
             raise ConfigError(f"{where}: needs an 'inputs' object with a 'corpus' entry, "
                               f"a 'config' object and a string 'oracle_arg'")
-        cfgs = {name: config_from(cls, snap.get(name), f"{where}: config section {name!r}")
+        cfgs = {name: cls.from_dict(snap.get(name), f"{where}: config section {name!r}")
                 for name, cls in CONFIG_SECTIONS}
         cfgs["snapshot"] = snap
         for name, entry in inputs.items():

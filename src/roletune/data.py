@@ -13,10 +13,11 @@ plus the terminating EOS — never role specials, instruction, or padding.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .config import Config
 from .errors import CapacityError, ConfigError, CorpusError
 from .rng import labeled_rng
 from .tensor import MASK_NEG
@@ -313,7 +314,7 @@ def fit_dialogue(sample: DialogueSample, tokenizer: ByteTokenizer,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class SynthSpec:
+class SynthSpec(Config):
     """Recipe for the synthetic corpus: two disjoint role vocabularies, agent
     persona markers, optional planted target topics, and sizing ranges."""
 
@@ -328,10 +329,9 @@ class SynthSpec:
     with_targets: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "user_vocab", tuple(self.user_vocab))
-        object.__setattr__(self, "agent_vocab", tuple(self.agent_vocab))
-        object.__setattr__(self, "markers", tuple(self.markers))
-        object.__setattr__(self, "topics", tuple(self.topics))
+        for f in fields(self):
+            if f.type.startswith("tuple["):
+                setattr(self, f.name, tuple(getattr(self, f.name)))
         if not self.user_vocab or not self.agent_vocab or not self.markers:
             raise ConfigError("user_vocab, agent_vocab, and markers must be non-empty")
         agent_side = set(self.agent_vocab) | set(self.markers) | set(self.topics)
@@ -348,27 +348,6 @@ class SynthSpec:
 
     def agent_side_words(self) -> frozenset:
         return frozenset(self.agent_vocab) | frozenset(self.markers) | frozenset(self.topics)
-
-    def to_dict(self) -> dict:
-        return {
-            "user_vocab": list(self.user_vocab),
-            "agent_vocab": list(self.agent_vocab),
-            "markers": list(self.markers),
-            "topics": list(self.topics),
-            "rounds_min": self.rounds_min,
-            "rounds_max": self.rounds_max,
-            "user_words": list(self.user_words),
-            "agent_words": list(self.agent_words),
-            "with_targets": self.with_targets,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SynthSpec":
-        d = dict(d)
-        for key in ("user_words", "agent_words"):
-            if key in d:
-                d[key] = tuple(d[key])
-        return cls(**d)
 
 
 def default_synth_spec(with_targets: bool = False) -> SynthSpec:

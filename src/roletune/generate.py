@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import Config
 from .data import ByteTokenizer, DialogueSample
 from .errors import CapacityError, ConfigError
 from .memory import RoundMemory
@@ -40,7 +41,7 @@ from .rng import labeled_rng
 
 
 @dataclass(frozen=True)
-class GenerationConfig:
+class GenerationConfig(Config):
     temperature: float = 1.0
     top_k: int | None = 40
     top_p: float = 0.75
@@ -58,17 +59,6 @@ class GenerationConfig:
             raise ConfigError(f"max_new_tokens must be >= 1, got {self.max_new_tokens}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-
-    def to_dict(self) -> dict:
-        return {
-            "temperature": self.temperature, "top_k": self.top_k,
-            "top_p": self.top_p, "max_new_tokens": self.max_new_tokens,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GenerationConfig":
-        return cls(**d)
 
 
 @functools.lru_cache(maxsize=8)

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as rt
+from .config import Config
 from .data import visibility_mask
 from .errors import CapacityError, ConfigError, ShapeError
 from .memory import MemoryLayers
@@ -36,7 +37,7 @@ DEFAULT_TARGETS = {"agent": ("q", "v"), "user": ("q",)}
 
 
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(Config):
     d_model: int = 64
     n_layers: int = 2
     n_heads: int = 4
@@ -63,6 +64,8 @@ class ModelConfig:
             raise ConfigError(f"head dimension {self.head_dim} must be even for rotary pairing")
         if self.rope_base <= 1.0:
             raise ConfigError(f"rope_base must exceed 1, got {self.rope_base}")
+        if self.norm_epsilon <= 0:
+            raise ConfigError(f"norm_epsilon must be positive, got {self.norm_epsilon}")
         if self.embed_std is not None and self.embed_std <= 0:
             raise ConfigError(f"embed_std must be positive, got {self.embed_std}")
 
@@ -75,23 +78,6 @@ class ModelConfig:
         if self.embed_std is not None:
             return self.embed_std
         return 2.0 / math.sqrt(self.d_model)
-
-    def to_dict(self) -> dict:
-        return {
-            "d_model": self.d_model,
-            "n_layers": self.n_layers,
-            "n_heads": self.n_heads,
-            "d_ff": self.d_ff,
-            "vocab_size": self.vocab_size,
-            "max_positions": self.max_positions,
-            "rope_base": self.rope_base,
-            "norm_epsilon": self.norm_epsilon,
-            "embed_std": self.embed_std,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
 
 
 def base_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -328,6 +314,9 @@ class Transformer:
                 raise ConfigError(f"unknown role {role!r}; expected one of {ROLES}")
         elif np.shape(role) != tokens.shape:
             raise ShapeError(f"role grid shape {np.shape(role)} vs tokens {tokens.shape}")
+        if tokens.dtype.kind not in "iu" or positions.dtype.kind not in "iu":
+            raise IndexError(f"token and position ids must be integers, "
+                             f"not {tokens.dtype} and {positions.dtype}")
         if tokens.min() < 0 or tokens.max() >= c.vocab_size:
             raise IndexError(f"token id outside vocab of size {c.vocab_size}")
         if positions.min() < 0:

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import tensor as rt
+from .config import Config
 from .data import (
     ByteTokenizer,
     DialogueSample,
@@ -60,7 +61,7 @@ MODES = ("midi", "concat", "split")
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(Config):
     mode: str = "midi"
     beta: float = 1.0               # user-loss weight; 0 is the stop-gradient diagnostic
     lr: float = 2e-5
@@ -93,22 +94,6 @@ class TrainConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.micro_batch is not None and not 1 <= self.micro_batch <= self.batch_size:
             raise ConfigError(f"micro_batch must lie in 1..batch_size, got {self.micro_batch}")
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode, "beta": self.beta, "lr": self.lr,
-            "warmup_ratio": self.warmup_ratio, "batch_size": self.batch_size,
-            "micro_batch": self.micro_batch, "epochs": self.epochs,
-            "max_rounds": self.max_rounds, "seed": self.seed, "rank": self.rank,
-            "alpha": self.alpha, "weight_decay": self.weight_decay,
-            "strict_cross_round": self.strict_cross_round,
-            "user_sees_instruction": self.user_sees_instruction,
-            "backprop_through_rounds": self.backprop_through_rounds,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
 
 
 def lr_at(step: int, total_steps: int, cfg: TrainConfig) -> float:

@@ -185,9 +185,21 @@ class TestRejection:
         ("'user_sees_instruction' is 1, not a boolean",
          lambda h: h["adapters"].update(user_sees_instruction=1)),
         ("'extra' is not an object", lambda h: h.update(extra=[1, 2])),
+        ("model_config: d_model is 16.0, not int", lambda h: h["model_config"].update(d_model=16.0)),
+        ("model_config: rope_base is nan, not float",
+         lambda h: h["model_config"].update(rope_base=float("nan"))),
+        ("norm_epsilon must be positive", lambda h: h["model_config"].update(norm_epsilon=-1.0)),
+        ("adapter field 'rank' is 8.9, not int", lambda h: h["adapters"].update(rank=8.9)),
+        ("adapter field 'alpha' is True, not float", lambda h: h["adapters"].update(alpha=True)),
+        ("adapter field 'alpha' is nan, not float",
+         lambda h: h["adapters"].update(alpha=float("nan"))),
+        ("adapter targets of 'agent' are 'qv', not a list of names",
+         lambda h: h["adapters"]["targets"].update(agent="qv")),
     ], ids=["no-dtype", "no-shape", "no-name", "unknown-dtype", "int-dtype", "string-shape",
             "entries-not-objects", "arrays-not-a-list", "no-adapter-targets",
-            "non-boolean-regime", "non-object-extra"])
+            "non-boolean-regime", "non-object-extra", "float-model-size", "nan-rope-base",
+            "negative-norm-epsilon", "fractional-rank", "boolean-alpha", "nan-alpha",
+            "string-adapter-targets"])
     def test_malformed_header_entry(self, tmp_path, defect, mutate):
         path = self.make_file(tmp_path)
         raw = path.read_bytes()

@@ -97,7 +97,12 @@ class TestDataSynth:
         ({"user_vocab": ["hi"], "agent_vocab": ["ka"]}, "required positional argument: 'markers'"),
         ({**default_synth_spec().to_dict(), "rounds_min": "2"}, "rounds_min is '2', not int"),
         ([1], "must be a JSON object, not list"),
-    ], ids=["unknown-key", "missing-key", "string-round-count", "not-an-object"])
+        ({**default_synth_spec().to_dict(), "user_vocab": [1, 2]},
+         "user_vocab is [1, 2], not tuple[str, ...]"),
+        ({**default_synth_spec().to_dict(), "user_words": [2.5, 4]},
+         "user_words is [2.5, 4], not tuple[int, int]"),
+    ], ids=["unknown-key", "missing-key", "string-round-count", "not-an-object",
+            "numeric-vocab", "fractional-word-count"])
     def test_malformed_recipe_exits_one(self, tmp_path, capsys, recipe, message):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(recipe))
@@ -423,8 +428,14 @@ class TestParsing:
         ({"train": [1, 2]}, "section 'train' must be a JSON object"),
         ({"model": {"d_model": "64"}}, "section 'model': d_model is '64', not int"),
         ({"train": {"epochs": True}}, "section 'train': epochs is True, not int"),
+        ({"train": {"lr": float("nan")}}, "section 'train': lr is nan, not float"),
+        ({"generation": {"temperature": float("nan")}},
+         "section 'generation': temperature is nan, not float"),
+        ({"generation": {"temperature": float("inf")}},
+         "section 'generation': temperature is inf, not float"),
     ], ids=["unknown-top-level-key", "unknown-train-key", "train-not-an-object",
-            "string-model-size", "boolean-epochs"])
+            "string-model-size", "boolean-epochs", "nan-lr", "nan-temperature",
+            "infinite-temperature"])
     def test_unknown_config_key_rejected(self, tmp_path, corpus, capsys, config, message):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(config))

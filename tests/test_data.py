@@ -376,6 +376,7 @@ class TestSynthSpec:
     def test_dict_round_trip(self):
         spec = default_synth_spec(with_targets=True)
         assert SynthSpec.from_dict(spec.to_dict()) == spec
+        assert SynthSpec(**spec.to_dict()) == spec
 
 
 class TestSynthGenerate:

@@ -265,6 +265,16 @@ class TestForwardSegment:
         with pytest.raises(IndexError):
             model.forward_segment(np.array([[5, 6, 7]]), np.array([[-3, -2, -1]]), "agent", adapters)
 
+    @pytest.mark.parametrize("tokens, positions", [
+        ([[5, 6]], [[0.5, 1.7]]),
+        ([[5, 6]], [[False, True]]),
+        ([[5.0, 6.0]], [[0, 1]]),
+    ], ids=["fractional-positions", "boolean-positions", "float-tokens"])
+    def test_non_integer_ids_rejected(self, tokens, positions):
+        model, adapters = make_model()
+        with pytest.raises(IndexError, match="must be integers"):
+            model.forward_segment(np.array(tokens), np.array(positions), "agent", adapters)
+
     @pytest.mark.parametrize("positions", [[[0, 1]], [[0, 1, 2, 3]], [[0, 1, 2], [0, 1, 2]], [0, 1, 2]],
                              ids=["short", "long", "extra-row", "flat"])
     def test_misshaped_positions_rejected(self, positions):
