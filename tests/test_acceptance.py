@@ -106,7 +106,7 @@ def tiny_dialogue_batch(n=2, rounds=2, seed=0):
     return batch
 
 
-def test_criterion_01_gradients_match_finite_differences(record_property):
+def test_criterion_01_gradients_match_finite_differences(acceptance_line):
     """Analytic adapter gradients of the combined dual-role loss agree with
     central finite differences for every delta scalar (f64, rel err < 1e-4)."""
     t0 = time.monotonic()
@@ -150,13 +150,12 @@ def test_criterion_01_gradients_match_finite_differences(record_property):
     assert n_scalars == sum(t.data.size for t in adapters.trainable_parameters().values())
     assert max_err < 1e-4, f"max relative gradient error {max_err:.3e}"
     assert elapsed < 60.0, f"took {elapsed:.1f}s, budget 60s"
-    record_property("acceptance_line",
-                    f"ACCEPTANCE 1: PASS — max relative gradient error {max_err:.2e} "
+    acceptance_line(f"ACCEPTANCE 1: PASS — max relative gradient error {max_err:.2e} "
                     f"over {n_scalars} delta scalars (f64 central differences, "
                     f"beta=0.5, both roles), {elapsed:.1f}s")
 
 
-def test_criterion_02_single_role_cache_matches_full_forward(record_property):
+def test_criterion_02_single_role_cache_matches_full_forward(acceptance_line):
     """Any segmentation of a sequence, replayed through the cache, yields the
     same final-segment logits as one causal pass (atol 1e-5, f32)."""
     t0 = time.monotonic()
@@ -182,12 +181,11 @@ def test_criterion_02_single_role_cache_matches_full_forward(record_property):
         assert diff <= 1e-5, f"trial {trial}: final-segment diff {diff:.2e}"
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0, f"took {elapsed:.1f}s, budget 30s"
-    record_property("acceptance_line",
-                    f"ACCEPTANCE 2: PASS — 20 random splits, max final-segment "
+    acceptance_line(f"ACCEPTANCE 2: PASS — 20 random splits, max final-segment "
                     f"logit diff {max_diff:.2e} (tolerance 1e-5), {elapsed:.1f}s")
 
 
-def test_criterion_03_dual_role_cache_matches_reference(record_property):
+def test_criterion_03_dual_role_cache_matches_reference(acceptance_line):
     """Alternating-role cached forwards agree with the independent
     per-token role-switching reference (atol 1e-5, f32)."""
     max_diff = 0.0
@@ -217,13 +215,12 @@ def test_criterion_03_dual_role_cache_matches_reference(record_property):
         diff = float(np.max(np.abs(np.concatenate(parts, axis=1) - expected)))
         max_diff = max(max_diff, diff)
         assert diff <= 1e-5, f"dialogue {trial}: diff {diff:.2e}"
-    record_property("acceptance_line",
-                    f"ACCEPTANCE 3: PASS — 10 three-round dialogues vs "
+    acceptance_line(f"ACCEPTANCE 3: PASS — 10 three-round dialogues vs "
                     f"role-switching reference, max logit diff {max_diff:.2e} "
                     f"(tolerance 1e-5)")
 
 
-def test_criterion_04_user_gradients_gate_on_beta(record_property):
+def test_criterion_04_user_gradients_gate_on_beta(acceptance_line):
     """With the user-loss weight at 0 a full optimizer-step backward leaves
     every user delta gradient exactly zero; any positive weight makes them
     all nonzero."""
@@ -276,14 +273,13 @@ def test_criterion_04_user_gradients_gate_on_beta(record_property):
     assert any(t.data.tobytes() != agent_before[n] for n, t in
                step_adapters.trainable_parameters(("agent",)).items())
 
-    record_property("acceptance_line",
-                    f"ACCEPTANCE 4: PASS — beta=0: all {len(user_names)} user "
+    acceptance_line(f"ACCEPTANCE 4: PASS — beta=0: all {len(user_names)} user "
                     f"delta gradients exactly zero and parameters bitwise "
                     f"frozen across a training step; beta=0.5: all nonzero "
                     f"(min norm {min(norms.values()):.2e})")
 
 
-def test_criterion_05_frozen_base_and_adapter_census(record_property):
+def test_criterion_05_frozen_base_and_adapter_census(acceptance_line):
     """50 optimizer steps leave the backbone bitwise untouched; the trainable
     surface is exactly the expected rank-2r update per adapted projection,
     with no value projection adapted for the user role."""
@@ -321,14 +317,13 @@ def test_criterion_05_frozen_base_and_adapter_census(record_property):
     assert {proj for (_, proj) in adapters.deltas["agent"]} == {"q", "v"}
     n_agent = sum(t.data.size for n, t in adapters.trainable_parameters(("agent",)).items())
     n_user = sum(t.data.size for n, t in adapters.trainable_parameters(("user",)).items())
-    record_property("acceptance_line",
-                    f"ACCEPTANCE 5: PASS — base bitwise unchanged after 50 steps; "
+    acceptance_line(f"ACCEPTANCE 5: PASS — base bitwise unchanged after 50 steps; "
                     f"census {per_projection}/projection, agent {2 * TEXT.n_layers} "
                     f"projections ({n_agent} scalars, q+v), user {TEXT.n_layers} "
                     f"({n_user} scalars, q only)")
 
 
-def test_criterion_06_padding_and_position_contracts(record_property):
+def test_criterion_06_padding_and_position_contracts(acceptance_line):
     """Over 100 random batched-round layouts: scattering padding into any
     round moves no valid-position logit by more than 1e-6 (f32), and the
     positions assigned to each row's valid slots are exactly 0..n-1."""
@@ -377,13 +372,12 @@ def test_criterion_06_padding_and_position_contracts(record_property):
                 flat, np.arange(flat.size),
                 err_msg=f"trial {trial} row {r}: position ids not 0..n-1")
     elapsed = time.monotonic() - t0
-    record_property("acceptance_line",
-                    f"ACCEPTANCE 6: PASS — 100 layouts: max valid-logit shift "
+    acceptance_line(f"ACCEPTANCE 6: PASS — 100 layouts: max valid-logit shift "
                     f"{max_diff:.2e} (tolerance 1e-6), all row position ids "
                     f"exactly 0..n-1, {elapsed:.1f}s")
 
 
-def test_criterion_07_metric_fixtures(record_property):
+def test_criterion_07_metric_fixtures(acceptance_line):
     """Every dialogue metric reproduces its hand-computed fixture."""
     TOL = 1e-9
     assert word_f1("go north now", "go north now") == 1.0
@@ -452,13 +446,12 @@ def test_criterion_07_metric_fixtures(record_property):
     means, _ = consistency_curve(mixed, oracle)
     assert abs(means[0] - 3 / 5) <= TOL
 
-    record_property("acceptance_line",
-                    "ACCEPTANCE 7: PASS — word F1, BLEU-1/2, DIST-1/2, success "
+    acceptance_line("ACCEPTANCE 7: PASS — word F1, BLEU-1/2, DIST-1/2, success "
                     "rate, and consistency-curve fixtures all match "
                     "(exact / 1e-9)")
 
 
-def test_criterion_08_round_level_training_beats_concat_late(record_property):
+def test_criterion_08_round_level_training_beats_concat_late(acceptance_line):
     """The scaled-down role-separation experiment: round-by-round (midi) and
     whole-sequence (concat) training from identical initializations both fit
     the corpus (final agent loss < 0.3x initial), but midi's per-round
@@ -501,14 +494,13 @@ def test_criterion_08_round_level_training_beats_concat_late(record_property):
     # concat shows no late-round decay under gold context, so what this
     # reproduces is a gap in level; both levels are printed per seed
     means_text = ", ".join(f"{m:.2f}/{c:.2f}" for m, c in late_means)
-    record_property("acceptance_line",
-                    f"ACCEPTANCE 8: PASS — {wins}/5 seeds hold rounds 5-8, "
+    acceptance_line(f"ACCEPTANCE 8: PASS — {wins}/5 seeds hold rounds 5-8, "
                     f"late-round consistency gaps per seed [{gap_text}], "
                     f"midi/concat late means per seed [{means_text}], "
                     f"gold=1.0, {elapsed:.0f}s")
 
 
-def test_criterion_09_decoding_contracts(record_property):
+def test_criterion_09_decoding_contracts(acceptance_line):
     """top_k=1 equals greedy argmax bit for bit; the nucleus filter keeps the
     hand-built candidate pair at (0.625, 0.375) +/- 0.01 over 1e5 draws; and
     incremental cached decoding matches re-priming from scratch each token."""
@@ -569,14 +561,13 @@ def test_criterion_09_decoding_contracts(record_property):
         assert abs(freq[token] - want) <= 0.01, \
             f"token {token}: frequency {freq[token]:.4f}, expected {want}"
 
-    record_property("acceptance_line",
-                    f"ACCEPTANCE 9: PASS — top_k=1 seed-independent and equal "
+    acceptance_line(f"ACCEPTANCE 9: PASS — top_k=1 seed-independent and equal "
                     f"to re-primed greedy for {steps} tokens; nucleus pair at "
                     f"({freq[target_ids[0]]:.3f}, {freq[target_ids[1]]:.3f}) "
                     f"vs (0.625, 0.375), tolerance 0.01")
 
 
-def test_criterion_10_compare_rerun_reproduces_reports(record_property, tmp_path):
+def test_criterion_10_compare_rerun_reproduces_reports(acceptance_line, tmp_path):
     """A compare run replayed from its manifest into a fresh directory
     writes byte-identical reports, tables, and loss logs."""
     spec = {**default_synth_spec().to_dict(), "rounds_min": 2, "rounds_max": 2,
@@ -608,6 +599,5 @@ def test_criterion_10_compare_rerun_reproduces_reports(record_property, tmp_path
     for name in reports:
         assert (redo / name).read_bytes() == originals[name], \
             f"{name} differs between the original run and the manifest replay"
-    record_property("acceptance_line",
-                    f"ACCEPTANCE 10: PASS — manifest replay reproduced all "
+    acceptance_line(f"ACCEPTANCE 10: PASS — manifest replay reproduced all "
                     f"{len(reports)} report files byte-identically")
