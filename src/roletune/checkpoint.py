@@ -7,25 +7,39 @@ hyperparameters and the visibility regime they were trained in, an optional
 free-form metadata dict, and one entry per array with its name, shape, and
 dtype — enough to validate every byte on load before any weight is accepted.
 The model configuration is read by `ModelConfig.from_dict` and the adapter
-rank, alpha, targets and regime by the same rule (`config.conforms`), so a
-mistyped or non-finite header value raises CheckpointError instead of being
-converted.
+entry (rank, alpha, targets, regime) by `AdapterHeader.from_dict`, the same
+schema of dataclass fields, so an unknown key or a mistyped or non-finite
+value raises CheckpointError instead of being converted or ignored. An entry
+without the regime keys loads under the default regime.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import conforms
+from .config import Config
 from .errors import CheckpointError
 from .model import BaseWeights, ModelConfig, RoleAdapters, Transformer, base_shapes
 from .tensor import Tensor
 
 MAGIC = b"RTCK"
 VERSION = 1
+
+
+@dataclass(frozen=True)
+class AdapterHeader(Config):
+    """The header's adapter entry: the hyperparameters and targets the
+    deltas were built with, and the visibility regime they were trained in."""
+
+    rank: int
+    alpha: float
+    targets: dict[str, tuple[str, ...]]
+    strict_cross_round: bool = False
+    user_sees_instruction: bool = True
 
 
 def _array_entries(model: Transformer, adapters: RoleAdapters):
@@ -40,12 +54,8 @@ def save_checkpoint(path, model: Transformer, adapters: RoleAdapters,
     named = _array_entries(model, adapters)
     header = {
         "model_config": model.config.to_dict(),
-        "adapters": {
-            "rank": adapters.rank,
-            "alpha": adapters.alpha,
-            "targets": {role: list(projs) for role, projs in adapters.targets.items()},
-            **adapters.regime,
-        },
+        "adapters": AdapterHeader(rank=adapters.rank, alpha=adapters.alpha,
+                                  targets=adapters.targets, **adapters.regime).to_dict(),
         "arrays": [
             {"name": name, "shape": list(arr.shape), "dtype": str(arr.dtype)}
             for name, arr in named.items()
@@ -89,15 +99,10 @@ def load_checkpoint(path):
 
     try:
         config = ModelConfig.from_dict(header["model_config"], "model_config")
-        meta = header["adapters"]
-        targets = meta["targets"]
-        for name, kind in (("rank", "int"), ("alpha", "float")):
-            if not conforms(meta[name], kind):
-                raise TypeError(f"adapter field {name!r} is {meta[name]!r}, not {kind}")
-        for role, projs in targets.items():
-            if not conforms(projs, "tuple[str, ...]"):
-                raise TypeError(f"adapter targets of {role!r} are {projs!r}, not a list of names")
-        rank, alpha = meta["rank"], float(meta["alpha"])
+        meta = AdapterHeader.from_dict(header["adapters"], "adapters")
+        adapters = RoleAdapters(config, rank=meta.rank, alpha=meta.alpha,
+                                targets=meta.targets, seed=0)
+        adapters.regime = {name: getattr(meta, name) for name in adapters.regime}
         entries = header["arrays"]
         if not isinstance(entries, list):
             raise TypeError("'arrays' is not a list")
@@ -149,7 +154,6 @@ def load_checkpoint(path):
         params[name] = Tensor(arrays[key])
     model = Transformer(config, BaseWeights(config, params))
 
-    adapters = RoleAdapters(config, rank=rank, alpha=alpha, targets=targets, seed=0)
     for name, tensor in adapters.trainable_parameters().items():
         key = f"adapters.{name}"
         if key not in arrays:
@@ -160,9 +164,4 @@ def load_checkpoint(path):
                 f"expected {tensor.shape}"
             )
         tensor.data = arrays[key].astype(tensor.data.dtype, copy=False)
-    for name, default in list(adapters.regime.items()):  # absent: the default regime
-        value = meta.get(name, default)
-        if not conforms(value, "bool"):
-            raise CheckpointError(f"{path}: adapter field {name!r} is {value!r}, not a boolean")
-        adapters.regime[name] = value
     return model, adapters, extra

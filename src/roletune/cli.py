@@ -12,9 +12,9 @@ One executable, five subcommands:
 Every run writes a manifest (resolved config, seed, input hashes) before any
 work starts and fills in output hashes when it finishes, so any result can be
 re-derived from its manifest alone. Config files, recipes and manifests are
-read by one schema, the config dataclasses' own fields, which refuses unknown
-keys, mistyped values and non-finite numbers. Exit codes: 0 success, 1
-runtime failure, 2 usage error.
+read by one JSON reader and one schema, the config dataclasses' own fields,
+which refuses unknown keys, mistyped values and non-finite numbers. Exit
+codes: 0 success, 1 runtime failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .evaluate import evaluate_corpus, gold_curve
 from .generate import GenerationConfig, extend_memory, generate_response, prime_memory, self_chat
 from .metrics import ConsistencyOracle
 from .model import ModelConfig, RoleAdapters, Transformer
+from .rng import labeled_rng
 from .training import TrainConfig, train
 
 logger = logging.getLogger("roletune")
@@ -152,15 +153,18 @@ class RunManifest:
         write_json(self.path, self.data)
 
 
-def load_manifest(path: Path) -> dict:
+def read_json_object(path: Path, what: str) -> dict:
+    """The JSON object an input file holds (config file, corpus recipe or
+    manifest). An unreadable file, invalid JSON or a value that is not an
+    object raises ConfigError naming `what` and the path."""
     try:
         with open(path, encoding="utf-8") as f:
-            manifest = json.load(f)
+            value = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
-        raise ConfigError(f"cannot read manifest {path}: {e}") from e
-    if not isinstance(manifest, dict):
-        raise ConfigError(f"manifest {path} must hold a JSON object")
-    return manifest
+        raise ConfigError(f"cannot read {what} {path}: {e}") from e
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} {path} must hold a JSON object")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -175,13 +179,7 @@ def load_manifest(path: Path) -> dict:
 # ---------------------------------------------------------------------------
 
 def load_config_file(path: Path) -> dict:
-    try:
-        with open(path, encoding="utf-8") as f:
-            raw = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        raise ConfigError(f"cannot read config file {path}: {e}") from e
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
+    raw = read_json_object(path, "config file")
     sections = {}
     for name in ("train", "model", "generation"):
         section = raw.get(name, {})
@@ -219,12 +217,7 @@ def resolve_configs(args) -> dict:
 def load_spec_file(path: Path | None, with_targets: bool) -> SynthSpec:
     if path is None:
         return default_synth_spec(with_targets=with_targets)
-    try:
-        with open(path, encoding="utf-8") as f:
-            raw = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        raise ConfigError(f"cannot read corpus spec {path}: {e}") from e
-    return SynthSpec.from_dict(raw, f"corpus spec {path}")
+    return SynthSpec.from_dict(read_json_object(path, "corpus spec"), f"corpus spec {path}")
 
 
 def resolve_oracle(arg: str | None) -> ConsistencyOracle | None:
@@ -342,7 +335,8 @@ def cmd_eval(args) -> int:
 
 def merged_adapters(agent_ckpt, user_ckpt):
     """Agent deltas from one checkpoint, user deltas from another, over the
-    agent checkpoint's base. Requires matching shapes, hyperparameters, regime."""
+    agent checkpoint's base. Requires the same model config and frozen base
+    weights, the same rank, alpha and user-side targets, and the same regime."""
     model, adapters, extra = load_checkpoint(agent_ckpt)
     if user_ckpt is None:
         return model, adapters, extra
@@ -351,8 +345,17 @@ def merged_adapters(agent_ckpt, user_ckpt):
         raise CheckpointError(
             f"user checkpoint model config {user_model.config.to_dict()} does not "
             f"match agent checkpoint {model.config.to_dict()}")
+    user_base = user_model.base.named_arrays()
+    if not all(np.array_equal(arr, user_base[name])
+               for name, arr in model.base.named_arrays().items()):
+        raise CheckpointError("user checkpoint's frozen base weights differ from the agent "
+                              "checkpoint's, so its user deltas were trained on other weights")
     if (user_adapters.rank, user_adapters.alpha) != (adapters.rank, adapters.alpha):
         raise CheckpointError("user checkpoint adapter rank/alpha do not match agent checkpoint")
+    user_targets, targets = user_adapters.targets.get("user", ()), adapters.targets.get("user", ())
+    if user_targets != targets:
+        raise CheckpointError(f"user checkpoint adapts {user_targets} for the user, "
+                              f"agent checkpoint {targets}")
     if user_adapters.regime != adapters.regime:
         raise ConfigError(f"user checkpoint was trained under {user_adapters.regime}, "
                           f"agent checkpoint under {adapters.regime}")
@@ -385,6 +388,7 @@ def cmd_chat_sim(args) -> int:
     tokenizer = ByteTokenizer()
     if user_source == "stdin":
         rounds: list[tuple[str, str]] = []
+        rng = labeled_rng(gen_cfg.seed, "generate")  # one stream for every reply
         try:
             memory = prime_memory(model, adapters, tokenizer, args.instruction, [])
             for _ in range(args.rounds):
@@ -396,7 +400,7 @@ def cmd_chat_sim(args) -> int:
                 memory = extend_memory(model, adapters, tokenizer, memory,
                                        "user", user_text)
                 reply, memory = generate_response(model, adapters, tokenizer,
-                                                  memory, "agent", gen_cfg)
+                                                  memory, "agent", gen_cfg, rng)
                 print(f"agent> {reply.text}")
                 rounds.append((user_text, reply.text))
                 if reply.exhausted:
@@ -422,7 +426,7 @@ def cmd_chat_sim(args) -> int:
 
 def cmd_compare(args) -> int:
     if args.from_manifest:
-        previous = load_manifest(Path(args.from_manifest))
+        previous = read_json_object(Path(args.from_manifest), "manifest")
         if previous.get("command") != "compare":
             raise ConfigError(f"{args.from_manifest} is not a compare manifest")
         where = f"manifest {args.from_manifest}"

@@ -9,7 +9,8 @@ corpus recipes, run manifests and checkpoint headers all come in through
 ConfigError naming its source and key, and never reaches the numerics.
 
 Annotations understood: int, float, bool, str, tuple[T, ...] (a list of any
-length), tuple[T, U, ...] (a list of that length), each optionally `| None`.
+length), tuple[T, U, ...] (a list of that length), dict[str, T] (an object
+whose every value is a T), each optionally `| None`.
 """
 
 from __future__ import annotations
@@ -25,10 +26,14 @@ JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
 
 def conforms(value, annotation: str) -> bool:
     """Whether a JSON value fits a field annotation: its JSON type (a boolean
-    is no number), a tuple's length and element types, and a finite float."""
+    is no number), a tuple's length and element types, a dict's value types,
+    and a finite float."""
     kind, _, optional = annotation.partition(" | ")
     if value is None:
         return bool(optional)
+    if kind.startswith("dict[str, "):
+        item = kind[len("dict[str, "):-1]
+        return isinstance(value, dict) and all(conforms(v, item) for v in value.values())
     if kind.startswith("tuple["):
         items = [item.strip() for item in kind[len("tuple["):-1].split(",")]
         if not isinstance(value, list):

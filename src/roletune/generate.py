@@ -183,6 +183,10 @@ def generate_response(model: Transformer, adapters: RoleAdapters,
     forced so the stored layout stays well-formed. If the position capacity
     runs out mid-utterance the text ends there and `exhausted` is set; the
     unforwarded end marker is then absent from memory.
+
+    Without `rng` the reply draws from a fresh `labeled_rng(cfg.seed,
+    "generate")`, so a caller decoding several replies passes one stream to
+    all of them; otherwise every sampled reply repeats the same draws.
     """
     if rng is None:
         rng = labeled_rng(cfg.seed, "generate")

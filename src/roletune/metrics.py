@@ -11,7 +11,7 @@ corpus recipe, round by round.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import math
 import string
@@ -222,25 +222,9 @@ class MetricReport:
     consistency_counts: list[int] | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "word_f1": self.word_f1,
-            "bleu1": self.bleu1,
-            "bleu2": self.bleu2,
-            "dist1": self.dist1,
-            "dist2": self.dist2,
-            "n_dialogues": self.n_dialogues,
-            "n_replies": self.n_replies,
-        }
-        if self.success is not None:
-            out["success"] = {
-                "rate": self.success.rate,
-                "n_scored": self.success.n_scored,
-                "n_skipped": self.success.n_skipped,
-            }
-        if self.consistency is not None:
-            out["consistency"] = list(self.consistency)
-            out["consistency_counts"] = list(self.consistency_counts or [])
-        return out
+        """The fields as JSON values (`report.json`); those that are None are
+        left out."""
+        return {name: value for name, value in asdict(self).items() if value is not None}
 
 
 def score_replies(samples, responses: list[list[str]],

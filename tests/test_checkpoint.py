@@ -181,25 +181,34 @@ class TestRejection:
         (r"shape \('a', 'b', 'c'\)", lambda h: h["arrays"][0].update(shape="abc")),
         ("entry 0 is malformed", lambda h: h.update(arrays=[1, 2])),
         ("'arrays' is not a list", lambda h: h.update(arrays=5)),
-        ("no 'targets' entry", lambda h: h["adapters"].pop("targets")),
-        ("'user_sees_instruction' is 1, not a boolean",
+        ("adapters: .*missing 1 required positional argument: 'targets'",
+         lambda h: h["adapters"].pop("targets")),
+        ("adapters: user_sees_instruction is 1, not bool",
          lambda h: h["adapters"].update(user_sees_instruction=1)),
         ("'extra' is not an object", lambda h: h.update(extra=[1, 2])),
         ("model_config: d_model is 16.0, not int", lambda h: h["model_config"].update(d_model=16.0)),
         ("model_config: rope_base is nan, not float",
          lambda h: h["model_config"].update(rope_base=float("nan"))),
         ("norm_epsilon must be positive", lambda h: h["model_config"].update(norm_epsilon=-1.0)),
-        ("adapter field 'rank' is 8.9, not int", lambda h: h["adapters"].update(rank=8.9)),
-        ("adapter field 'alpha' is True, not float", lambda h: h["adapters"].update(alpha=True)),
-        ("adapter field 'alpha' is nan, not float",
+        ("adapters: rank is 8.9, not int", lambda h: h["adapters"].update(rank=8.9)),
+        ("adapters: alpha is True, not float", lambda h: h["adapters"].update(alpha=True)),
+        ("adapters: alpha is nan, not float",
          lambda h: h["adapters"].update(alpha=float("nan"))),
-        ("adapter targets of 'agent' are 'qv', not a list of names",
+        (r"adapters: targets is \{'agent': 'qv'",
          lambda h: h["adapters"]["targets"].update(agent="qv")),
+        ("rank must be positive, got 0", lambda h: h["adapters"].update(rank=0)),
+        (r"rank 99 exceeds min\(d_out=16", lambda h: h["adapters"].update(rank=99)),
+        ("unknown adapter role 'z'", lambda h: h["adapters"]["targets"].update(z=["q"])),
+        ("unknown projection target 'x'",
+         lambda h: h["adapters"]["targets"].update(agent=["q", "x"])),
+        ("adapters: unknown key 'strict_cross_rnd'",
+         lambda h: h["adapters"].update(strict_cross_rnd=True)),
     ], ids=["no-dtype", "no-shape", "no-name", "unknown-dtype", "int-dtype", "string-shape",
             "entries-not-objects", "arrays-not-a-list", "no-adapter-targets",
             "non-boolean-regime", "non-object-extra", "float-model-size", "nan-rope-base",
             "negative-norm-epsilon", "fractional-rank", "boolean-alpha", "nan-alpha",
-            "string-adapter-targets"])
+            "string-adapter-targets", "zero-rank", "rank-above-width", "unknown-target-role",
+            "unknown-projection", "misspelled-regime-key"])
     def test_malformed_header_entry(self, tmp_path, defect, mutate):
         path = self.make_file(tmp_path)
         raw = path.read_bytes()

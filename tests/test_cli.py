@@ -15,7 +15,8 @@ import roletune.cli as cli
 from roletune.cli import main
 from roletune.checkpoint import load_checkpoint, save_checkpoint
 from roletune.data import ByteTokenizer, default_synth_spec, load_corpus
-from roletune.errors import ConfigError
+from roletune.errors import CheckpointError, ConfigError
+from roletune.generate import generate_response
 from roletune.model import ModelConfig, RoleAdapters, Transformer
 
 TINY_MODEL = {"d_model": 16, "n_layers": 2, "n_heads": 2, "d_ff": 32,
@@ -96,7 +97,7 @@ class TestDataSynth:
         ({"n_layers": 1}, "unknown key 'n_layers'"),
         ({"user_vocab": ["hi"], "agent_vocab": ["ka"]}, "required positional argument: 'markers'"),
         ({**default_synth_spec().to_dict(), "rounds_min": "2"}, "rounds_min is '2', not int"),
-        ([1], "must be a JSON object, not list"),
+        ([1], "must hold a JSON object"),
         ({**default_synth_spec().to_dict(), "user_vocab": [1, 2]},
          "user_vocab is [1, 2], not tuple[str, ...]"),
         ({**default_synth_spec().to_dict(), "user_words": [2.5, 4]},
@@ -330,6 +331,47 @@ class TestChatSim:
         assert main(["chat-sim", str(paths[0]), "--user", str(paths[1]),
                      "--instruction", "persona xe", "--rounds", "1",
                      "--out", str(out)]) == 1
+
+    def test_user_checkpoint_on_another_base_rejected(self, tmp_path):
+        config = ModelConfig(**TINY_MODEL)
+        paths = []
+        for name, seed in (("agent", 0), ("user", 1)):
+            paths.append(tmp_path / f"{name}.rtck")
+            save_checkpoint(paths[-1], Transformer.create(config, seed=seed),
+                            RoleAdapters(config, rank=2, alpha=4.0, seed=0))
+        with pytest.raises(CheckpointError, match="frozen base weights differ"):
+            cli.merged_adapters(*paths)
+
+    def test_user_checkpoint_with_other_user_targets_rejected(self, tmp_path):
+        config = ModelConfig(**TINY_MODEL)
+        model = Transformer.create(config, seed=0)
+        paths = []
+        for name, user_projs in (("agent", ("q",)), ("user", ("q", "k", "v"))):
+            adapters = RoleAdapters(config, rank=2, alpha=4.0, seed=0,
+                                    targets={"agent": ("q", "v"), "user": user_projs})
+            paths.append(tmp_path / f"{name}.rtck")
+            save_checkpoint(paths[-1], model, adapters)
+        with pytest.raises(CheckpointError, match=r"adapts \('q', 'k', 'v'\) for the user"):
+            cli.merged_adapters(*paths)
+
+    def test_stdin_chat_draws_every_reply_from_one_stream(self, tmp_path, monkeypatch):
+        config = ModelConfig(**TINY_MODEL)
+        ckpt = tmp_path / "w.rtck"
+        save_checkpoint(ckpt, Transformer.create(config, seed=0),
+                        RoleAdapters(config, rank=2, alpha=4.0, seed=0))
+        streams = []
+
+        def spy(model, adapters, tokenizer, memory, role, cfg, rng=None):
+            streams.append(rng)
+            return generate_response(model, adapters, tokenizer, memory, role, cfg, rng)
+
+        monkeypatch.setattr(cli, "generate_response", spy)
+        monkeypatch.setattr("sys.stdin", io.StringIO("hi go\nup at\nka\n"))
+        assert main(["chat-sim", str(ckpt), "--user", "stdin", "--instruction", "persona xe",
+                     "--rounds", "3", "--max-new-tokens", "6",
+                     "--out", str(tmp_path / "chat.jsonl")]) == 0
+        assert len(streams) == 3 and streams[0] is not None
+        assert all(rng is streams[0] for rng in streams)
 
 
 class TestCompare:
